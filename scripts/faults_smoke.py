@@ -1,12 +1,16 @@
 #!/usr/bin/env python
 """CI smoke for the robustness layer (`make faults-smoke`).
 
-1. boots a journaled `drep-sim serve` subprocess, pushes half a trace,
-   SIGKILLs it mid-workload;
+1. boots a journaled `drep-sim serve` subprocess, pushes the first 1k
+   jobs of an 8k trace, SIGKILLs it mid-workload;
 2. restarts the server on the same journal directory, pushes the rest,
    drains, and checks the per-job flow times equal an uninterrupted
    in-process run **bit for bit**;
-3. runs a tiny `drep-sim faults` resilience grid to make sure the fault
+3. checks the checkpoint stays flat: the live ``snapshot.json`` after 8k
+   served jobs is less than 1.5x the one after 1k (finished jobs live in
+   the append-only ``history.jsonl``, not in every snapshot, so the size
+   follows the live-job count, which may as well shrink);
+4. runs a tiny `drep-sim faults` resilience grid to make sure the fault
    injection CLI is alive.
 
 Exits non-zero (with a message) on any mismatch.  Needs only the
@@ -35,8 +39,13 @@ from repro.workloads.traces import generate_trace  # noqa: E402
 SERVE = [
     sys.executable, "-m", "repro.cli", "serve",
     "--m", "2", "--policy", "drep", "--seed", "11",
-    "--port", "0", "--snapshot-every", "8",
+    "--port", "0", "--snapshot-every", "64",
 ]
+N_JOBS = 8000
+KILL_AT = 1000
+#: bound on snapshot.json growth from KILL_AT to N_JOBS served jobs; an
+#: O(history) checkpoint grows ~N_JOBS / KILL_AT times
+FLAT_RATIO = 1.5
 
 
 def spawn(journal_dir: str) -> tuple[subprocess.Popen, int]:
@@ -68,8 +77,8 @@ def call(sock_file, sock, **request) -> dict:
 
 
 def main() -> None:
-    trace = generate_trace(60, "finance", 0.7, 2, seed=11)
-    cut = len(trace.jobs) // 2
+    trace = generate_trace(N_JOBS, "finance", 0.7, 2, seed=11)
+    cut = KILL_AT
 
     ref = ServeConfig(m=2, policy="drep", seed=11).build_scheduler()
     for spec in trace.jobs:
@@ -86,6 +95,8 @@ def main() -> None:
             resp = call(fh, sock, op="submit", work=spec.work,
                         release=spec.release)
             assert resp["ok"] and resp["accepted"], resp
+        snapshot = Path(tmp) / "snapshot.json"
+        sizes = [snapshot.stat().st_size]
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=30)
         print(f"   killed after {cut} submits")
@@ -99,6 +110,7 @@ def main() -> None:
                 resp = call(fh, sock, op="submit", work=spec.work,
                             release=spec.release)
                 assert resp["ok"] and resp["accepted"], resp
+            sizes.append(snapshot.stat().st_size)
             done = call(fh, sock, op="drain", include_flows=True)
             assert done["ok"], done
             call(fh, sock, op="shutdown")
@@ -114,6 +126,12 @@ def main() -> None:
         raise SystemExit("FAIL: recovered flow times differ from the "
                          "uninterrupted run")
     print(f"   bit-for-bit: {len(got)} flow times identical")
+    ratio = sizes[1] / sizes[0]
+    print(f"   snapshot.json after {cut} / {N_JOBS} jobs: {sizes[0]} / "
+          f"{sizes[1]} bytes ({ratio:.2f}x)")
+    if ratio >= FLAT_RATIO:
+        raise SystemExit(f"FAIL: checkpoint grew {ratio:.2f}x with jobs "
+                         f"served (bound {FLAT_RATIO}x): it is O(history)")
 
     print("== phase 3: resilience CLI")
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))

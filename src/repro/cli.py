@@ -229,7 +229,9 @@ def main(argv: list[str] | None = None) -> int:
         help="auto-checkpoint the journal every N mutating ops",
     )
     p9.add_argument(
-        "--fsync", action="store_true", help="fsync each journal append"
+        "--fsync",
+        action="store_true",
+        help="fsync each journal append and every checkpoint",
     )
     p9.add_argument(
         "--max-pending",

@@ -2447,29 +2447,74 @@ class FlowStepper:
 
     # -- checkpointing -----------------------------------------------------
 
-    def state_dict(self) -> dict:
-        """Engine-level state as JSON-compatible plain data.
-
-        Covers the clock, job table and progress arrays — everything the
-        stepper owns.  Policy state is *not* included (policies are opaque
-        to the engine); :mod:`repro.serve.snapshot` captures it alongside.
-        Jobs carrying explicit DAGs are not snapshottable.
-        """
+    def _check_snapshottable(self) -> None:
         if self._base:
             raise FlowSimError(
                 "cannot snapshot a harvested (streaming) run: the "
                 "completed prefix was folded away"
             )
-        for spec in self._specs:
-            if spec.dag is not None:
-                raise FlowSimError(
-                    "cannot snapshot a run with explicit DAG jobs"
-                )
+
+    def _job_record(self, j: int) -> dict:
+        """One job's spec and remaining work as plain data."""
+        s = self._specs[j]
+        if s.dag is not None:
+            raise FlowSimError("cannot snapshot a run with explicit DAG jobs")
+        return {
+            "job_id": s.job_id,
+            "release": s.release,
+            "work": s.work,
+            "span": s.span,
+            "mode": s.mode.value,
+            "weight": s.weight,
+            "rem": float(self._rem[j]),
+        }
+
+    def finished_state(self, start: int = 0) -> list[dict]:
+        """Records of the jobs that finished after the first ``start``
+        completions, in completion order.
+
+        Each record is the job's spec plus its final ``rem``, ``flow`` and
+        ``finish``.  A finished job never changes again, so a caller that
+        checkpoints repeatedly collects each record once and keeps it
+        (the serving journal appends them to a history file); the records
+        of all :attr:`n_completed` jobs, together with :meth:`state_dict`,
+        are what :meth:`from_state_dict` rebuilds the stepper from.
+        """
+        self._check_snapshottable()
+        log = self._completions
+        if not 0 <= start <= len(log):
+            raise FlowSimError(
+                f"finished-state cursor {start} outside 0..{len(log)}"
+            )
+        records = []
+        for j, t in log[start:]:
+            rec = self._job_record(j)
+            rec["flow"] = float(self._flow[j])
+            rec["finish"] = float(t)
+            records.append(rec)
+        return records
+
+    def state_dict(self) -> dict:
+        """Live engine state as JSON-compatible plain data.
+
+        Covers the clock, the counters and every job that can still
+        change — active, suspended and pending — with its remaining work,
+        so the cost is O(live jobs) however long the stepper has run.
+        Finished jobs come separately from :meth:`finished_state`.  Policy
+        state is *not* included (policies are opaque to the engine);
+        :mod:`repro.serve.snapshot` captures it alongside.  Jobs carrying
+        explicit DAGs are not snapshottable.
+        """
+        self._check_snapshottable()
         na = self._na
         if na:
             # the buffers hold the live remaining-work values; flush them
-            # to the master column the snapshot serializes
+            # to the master column the records read
             self._rem[self._a_ids[:na]] = self._a_rem[:na]
+        live = self._a_ids[:na].tolist()
+        live.extend(self._suspended)
+        live.sort()
+        live.extend(range(self._next_arrival, self._n))
         fault_state = {}
         if self.faults is not None:
             fault_state = {
@@ -2497,36 +2542,26 @@ class FlowStepper:
                 "incremental_min_active": self.config.incremental_min_active,
             },
             "t": self._t,
+            "n_jobs": self._n,
             "next_arrival": self._next_arrival,
             "completed": self._completed,
             "busy_time": self._busy_time,
             "events": self._events,
             "act_ids": self._a_ids[:na].tolist(),
-            "rem": [float(x) for x in self._rem[: self._n]],
-            "flow": [
-                None if np.isnan(x) else float(x) for x in self._flow[: self._n]
-            ],
-            "completions": [[int(j), float(t)] for j, t in self._completions],
             "segments": [
                 [a, b, {str(k): v for k, v in alloc.items()}]
                 for a, b, alloc in self._segments
             ],
-            "jobs": [
-                {
-                    "job_id": s.job_id,
-                    "release": s.release,
-                    "work": s.work,
-                    "span": s.span,
-                    "mode": s.mode.value,
-                    "weight": s.weight,
-                }
-                for s in self._specs
-            ],
+            "jobs": [self._job_record(j) for j in live],
         }
 
     @classmethod
-    def from_state_dict(cls, state: dict, policy: Policy) -> "FlowStepper":
-        """Rebuild a stepper from :meth:`state_dict` output.
+    def from_state_dict(
+        cls, state: dict, policy: Policy, finished: list[dict]
+    ) -> "FlowStepper":
+        """Rebuild a stepper from :meth:`state_dict` output plus the
+        :meth:`finished_state` records of every completed job, in
+        completion order.
 
         ``policy`` must already carry its restored internal state (the
         constructor's ``policy.reset`` call is *skipped* — the caller is
@@ -2534,14 +2569,20 @@ class FlowStepper:
         what a checkpoint is meant to preserve).
         """
         cfg = FlowSimConfig(**state["config"])
+        n = int(state["n_jobs"])
+        live = state["jobs"]
+        if len(finished) != int(state["completed"]) or len(finished) + len(
+            live
+        ) != n:
+            raise FlowSimError(
+                f"checkpoint of {n} jobs holds {len(finished)} finished and "
+                f"{len(live)} live records ({state['completed']} completed)"
+            )
         stepper = cls.__new__(cls)
         stepper.m = int(state["m"])
         stepper.policy = policy
         stepper.seed = int(state["seed"])
         stepper.config = cfg
-        stepper._specs = []
-        stepper._profiles = []
-        n = len(state["jobs"])
         cap = max(16, n)
         stepper._release = np.zeros(cap, dtype=float)
         stepper._work = np.zeros(cap, dtype=float)
@@ -2550,29 +2591,33 @@ class FlowStepper:
         stepper._rem = np.zeros(cap, dtype=float)
         stepper._tol = np.zeros(cap, dtype=float)
         stepper._flow = np.full(cap, np.nan, dtype=float)
-        stepper._n = 0
-        for raw in state["jobs"]:
+        specs: list[JobSpec | None] = [None] * n
+        for raw in (*finished, *live):
             spec = JobSpec(
                 job_id=raw["job_id"],
                 release=raw["release"],
                 work=raw["work"],
                 span=raw["span"],
                 mode=ParallelismMode(raw["mode"]),
-                weight=raw.get("weight", 1.0),
+                weight=raw["weight"],
             )
             j = spec.job_id
+            if not 0 <= j < n or specs[j] is not None:
+                raise FlowSimError(
+                    f"checkpoint job id {j} duplicated or out of range"
+                )
+            specs[j] = spec
             stepper._release[j] = spec.release
             stepper._work[j] = spec.work
             stepper._caps_all[j] = spec.mode.rate_cap(stepper.m)
             stepper._weights[j] = spec.weight
             stepper._tol[j] = cfg.completion_tol * max(1.0, spec.work)
-            stepper._specs.append(spec)
-            stepper._profiles.append(None)
-            stepper._n += 1
-        for j, r in enumerate(state["rem"]):
-            stepper._rem[j] = r
-        for j, f in enumerate(state["flow"]):
-            stepper._flow[j] = np.nan if f is None else f
+            stepper._rem[j] = raw["rem"]
+        for raw in finished:
+            stepper._flow[raw["job_id"]] = raw["flow"]
+        stepper._specs = specs
+        stepper._profiles = [None] * n
+        stepper._n = n
         stepper._base = 0
         stepper._act_ids = [int(j) for j in state["act_ids"]]
         stepper._t = float(state["t"])
@@ -2581,7 +2626,7 @@ class FlowStepper:
         stepper._busy_time = float(state["busy_time"])
         stepper._events = int(state["events"])
         stepper._completions = [
-            (int(j), float(t)) for j, t in state["completions"]
+            (int(raw["job_id"]), float(raw["finish"])) for raw in finished
         ]
         stepper._segments = [
             (a, b, {int(k): v for k, v in alloc.items()})
@@ -2591,11 +2636,11 @@ class FlowStepper:
             from repro.faults.timeline import FaultTimeline
 
             stepper.faults = FaultTimeline.from_state_dict(state["faults"])
-            stepper._fault_log = [dict(e) for e in state.get("fault_log", [])]
-            stepper._lost_work = float(state.get("lost_work", 0.0))
-            stepper._displaced_work = float(state.get("displaced_work", 0.0))
-            stepper._requeue_log = [dict(e) for e in state.get("requeue_log", [])]
-            stepper._suspended = {int(j) for j in state.get("suspended", ())}
+            stepper._fault_log = [dict(e) for e in state["fault_log"]]
+            stepper._lost_work = float(state["lost_work"])
+            stepper._displaced_work = float(state["displaced_work"])
+            stepper._requeue_log = [dict(e) for e in state["requeue_log"]]
+            stepper._suspended = {int(j) for j in state["suspended"]}
         else:
             stepper.faults = None
             stepper._fault_log = []

@@ -13,9 +13,10 @@ offline batch sweep:
   backpressure/shed decisions;
 * :mod:`repro.serve.metrics` — rolling windowed flow-time statistics
   with Prometheus text exposition;
-* :mod:`repro.serve.snapshot` — checkpoint/restore of the full
-  scheduler state (engine + policy + RNG), so a killed server resumes
-  without losing in-flight jobs;
+* :mod:`repro.serve.snapshot` — checkpoint/restore of the scheduler
+  state (live engine state + policy + RNG, plus one history record per
+  finished job), so a killed server resumes without losing in-flight
+  jobs;
 * :mod:`repro.serve.server` — an asyncio JSON-lines server speaking the
   wire protocol documented in ``docs/serving.md``;
 * :mod:`repro.serve.loadgen` — an open-loop generator replaying

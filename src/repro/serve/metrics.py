@@ -4,8 +4,17 @@ All statistics are over a sliding window of the *simulation* clock
 (``window`` sim-time units): the windowed mean/percentile flow times of
 recently completed jobs, completion throughput, plus monotone lifetime
 counters (submitted / completed / shed).  The window is a deque pruned
-lazily on read, so recording is O(1) amortized and reading is
-O(window size).
+on every completion (completion times never decrease, so nothing a later
+read could still see is dropped) and again on read, so recording is O(1)
+amortized, reading is O(window size), and a server nobody scrapes keeps
+one window of completions, not its whole history.
+
+A checkpoint does not copy the window either.  Each deque only ever
+appends completions in order and drops from the front, so it is always
+the most recent ``kept`` completions (of its tenant, for a per-tenant
+deque); :meth:`RollingMetrics.state_dict` records those counts and
+:meth:`RollingMetrics.from_state_dict` refills the deques from the
+caller's own completion records (the serving snapshot's job history).
 
 :meth:`RollingMetrics.to_prometheus` renders the standard text
 exposition format (``# HELP`` / ``# TYPE`` / sample lines) so the
@@ -16,6 +25,7 @@ quantiles use the conventional ``summary`` representation.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -39,16 +49,18 @@ class _TenantWindow:
             "submitted": self.submitted,
             "completed": self.completed,
             "shed": self.shed,
-            "flows": [[t, f] for t, f in self.flows],
+            "kept": len(self.flows),
         }
 
     @classmethod
-    def from_state_dict(cls, state: dict) -> "_TenantWindow":
+    def from_state_dict(
+        cls, state: dict, flows: list[tuple[float, float]]
+    ) -> "_TenantWindow":
         win = cls()
         win.submitted = int(state["submitted"])
         win.completed = int(state["completed"])
         win.shed = int(state["shed"])
-        win.flows = deque((float(t), float(f)) for t, f in state["flows"])
+        win.flows = _last(flows, int(state["kept"]))
         return win
 
 
@@ -94,22 +106,24 @@ class RollingMetrics:
     def on_complete(
         self, t: float, flow: float, tenant: str | None = None
     ) -> None:
+        t = float(t)
+        event = (t, float(flow))
+        cutoff = t - self.window
         self.completed += 1
-        self._flows.append((float(t), float(flow)))
+        self._flows.append(event)
+        _drop_before(self._flows, cutoff)
         if tenant is not None:
             win = self._tenant(tenant)
             win.completed += 1
-            win.flows.append((float(t), float(flow)))
+            win.flows.append(event)
+            _drop_before(win.flows, cutoff)
 
     def prune(self, now: float) -> None:
         """Drop completions older than ``now - window``."""
         cutoff = now - self.window
-        flows = self._flows
-        while flows and flows[0][0] < cutoff:
-            flows.popleft()
+        _drop_before(self._flows, cutoff)
         for win in self._tenants.values():
-            while win.flows and win.flows[0][0] < cutoff:
-                win.flows.popleft()
+            _drop_before(win.flows, cutoff)
 
     # -- reading -----------------------------------------------------------
 
@@ -241,12 +255,13 @@ class RollingMetrics:
     # -- checkpointing -----------------------------------------------------
 
     def state_dict(self) -> dict:
+        """Counters plus how many recent completions each deque keeps."""
         return {
             "window": self.window,
             "submitted": self.submitted,
             "completed": self.completed,
             "shed": self.shed,
-            "flows": [[t, f] for t, f in self._flows],
+            "kept": len(self._flows),
             "tenants": {
                 name: win.state_dict()
                 for name, win in sorted(self._tenants.items())
@@ -254,16 +269,47 @@ class RollingMetrics:
         }
 
     @classmethod
-    def from_state_dict(cls, state: dict) -> "RollingMetrics":
+    def from_state_dict(
+        cls,
+        state: dict,
+        completions: Sequence[tuple[float, float, str | None]],
+    ) -> "RollingMetrics":
+        """Rebuild from :meth:`state_dict` output and the ``(t, flow,
+        tenant)`` of every completion the checkpointed object recorded,
+        oldest first."""
         metrics = cls(window=state["window"])
         metrics.submitted = int(state["submitted"])
         metrics.completed = int(state["completed"])
         metrics.shed = int(state["shed"])
-        metrics._flows = deque((float(t), float(f)) for t, f in state["flows"])
-        # absent in pre-tenancy snapshots — tolerate for forward recovery
-        for name, win in state.get("tenants", {}).items():
-            metrics._tenants[name] = _TenantWindow.from_state_dict(win)
+        if len(completions) != metrics.completed:
+            raise ValueError(
+                f"metrics recorded {metrics.completed} completions, "
+                f"got {len(completions)}"
+            )
+        metrics._flows = _last(completions, int(state["kept"]))
+        by_tenant: dict[str, list[tuple[float, float]]] = {}
+        for t, f, tenant in completions:
+            if tenant is not None:
+                by_tenant.setdefault(tenant, []).append((t, f))
+        for name, win in state["tenants"].items():
+            metrics._tenants[name] = _TenantWindow.from_state_dict(
+                win, by_tenant.get(name, [])
+            )
         return metrics
+
+
+def _last(completions: Sequence[tuple], kept: int) -> deque:
+    """The ``(t, flow)`` of the ``kept`` most recent completions."""
+    if not 0 <= kept <= len(completions):
+        raise ValueError(
+            f"window keeps {kept} of {len(completions)} completions"
+        )
+    return deque((t, f) for t, f, *_ in completions[len(completions) - kept :])
+
+
+def _drop_before(flows: deque[tuple[float, float]], cutoff: float) -> None:
+    while flows and flows[0][0] < cutoff:
+        flows.popleft()
 
 
 def _fmt(x: float) -> str:

@@ -120,25 +120,21 @@ class OnlineScheduler:
     def _from_stepper(
         cls,
         stepper: FlowStepper,
-        admission: AdmissionController | None = None,
-        metrics: RollingMetrics | None = None,
-        offered: int | None = None,
-        shed: int = 0,
-        tenant_of: list[str | None] | None = None,
-        autoscale_state: dict | None = None,
+        admission: AdmissionController | None,
+        metrics: RollingMetrics | None,
+        offered: int,
+        shed: int,
+        tenant_of: list[str | None],
+        autoscale_state: dict | None,
     ) -> "OnlineScheduler":
         sched = cls.__new__(cls)
         sched._stepper = stepper
         sched.admission = admission
         sched.metrics = metrics
-        sched._offered = stepper.n_jobs + shed if offered is None else offered
+        sched._offered = offered
         sched._shed = shed
         sched._pumped = len(stepper.completion_log)
-        sched._tenant_of = (
-            list(tenant_of)
-            if tenant_of is not None
-            else [None] * stepper.n_jobs
-        )
+        sched._tenant_of = tenant_of
         sched._controller = None
         if autoscale_state is not None:
             sched._controller = AutoscaleController.from_state_dict(

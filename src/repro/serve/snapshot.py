@@ -8,14 +8,26 @@ that was never interrupted.
 
 Snapshots are a single JSON document (version-tagged), portable across
 processes.  Engine-level state comes from
-:meth:`repro.flowsim.FlowStepper.state_dict`; policy state is captured
-generically by encoding the policy's ``__dict__`` with a small tagged
-codec that understands the types scheduler policies actually hold:
-numpy arrays, numpy random generators (via ``bit_generator.state``),
-sets, tuples and int-keyed dicts.  Restore instantiates the policy
-class fresh (zero-argument) and replays the captured attributes, so any
-policy in :mod:`repro.flowsim.policies` round-trips without bespoke
-serialization code.
+:meth:`repro.flowsim.FlowStepper.state_dict` (live jobs only) and
+:meth:`~repro.flowsim.FlowStepper.finished_state` (one *history record*
+per finished job: spec, final ``rem``, flow, finish time and tenant, in
+completion order).  A document carries a ``cursor``: the number of
+history records it does *not* inline because the caller keeps them
+elsewhere — the serving journal appends them to ``history.jsonl`` once
+each, which makes every checkpoint cost O(live jobs) instead of O(jobs
+ever served).  The rolling metrics window is not copied either: it is
+the tail of the completions, so restore refills it from the history.  A
+self-contained snapshot (the ``snapshot`` op's file,
+``drep-sim serve --restore``) is simply the same document with cursor 0
+and every record inlined.
+
+Policy state is captured generically by encoding the policy's
+``__dict__`` with a small tagged codec that understands the types
+scheduler policies actually hold: numpy arrays, numpy random generators
+(via ``bit_generator.state``), sets, tuples and int-keyed dicts.
+Restore instantiates the policy class fresh (zero-argument) and replays
+the captured attributes, so any policy in :mod:`repro.flowsim.policies`
+round-trips without bespoke serialization code.
 
 Jobs carrying explicit DAG objects are not snapshottable (the engine
 refuses); the serving layer only creates scalar work/span jobs.
@@ -29,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.flowsim.engine import FlowStepper
+from repro.flowsim.engine import FlowSimError, FlowStepper
 from repro.flowsim.policies.base import Policy
 from repro.serve.admission import AdmissionController
 from repro.serve.metrics import RollingMetrics
@@ -38,6 +50,7 @@ from repro.serve.tenancy import MultiTenantAdmission
 
 __all__ = [
     "SNAPSHOT_VERSION",
+    "finished_records",
     "snapshot_scheduler",
     "snapshot_scheduler_file",
     "restore_scheduler",
@@ -45,7 +58,7 @@ __all__ = [
     "SnapshotError",
 ]
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 class SnapshotError(RuntimeError):
@@ -127,35 +140,92 @@ def _decode_policy(data: dict) -> Policy:
 # -- public API ------------------------------------------------------------
 
 
-def snapshot_scheduler(sched: OnlineScheduler) -> dict:
-    """Full serializable state of a live :class:`OnlineScheduler`."""
-    return {
-        "version": SNAPSHOT_VERSION,
-        "engine": sched.stepper.state_dict(),
-        "policy": _encode_policy(sched.policy),
-        "admission": (
-            None if sched.admission is None else sched.admission.state_dict()
-        ),
-        "metrics": (
-            None if sched.metrics is None else sched.metrics.state_dict()
-        ),
-        "offered": sched.n_offered,
-        "shed": sched.n_shed,
-        "tenant_of": sched.tenant_labels,
-        "autoscale": sched.autoscale_state_dict(),
-    }
+def check_version(state: dict) -> None:
+    """Raise :class:`SnapshotError` unless ``state`` is in this format.
 
-
-def restore_scheduler(state: dict) -> OnlineScheduler:
-    """Rebuild a scheduler that continues exactly where the snapshot stopped."""
+    Version 1 snapshots (the whole job table inlined, no cursor) are not
+    restorable: a journal directory written by an older server has to be
+    drained and started afresh.
+    """
     version = state.get("version")
     if version != SNAPSHOT_VERSION:
         raise SnapshotError(
             f"snapshot version {version!r} not supported "
             f"(expected {SNAPSHOT_VERSION})"
         )
+
+
+def finished_records(sched: OnlineScheduler, start: int = 0) -> list[dict]:
+    """History records of the jobs finished after the first ``start``
+    completions, in completion order, each labelled with its tenant."""
+    records = sched.stepper.finished_state(start)
+    for rec in records:
+        rec["tenant"] = sched.tenant_of(rec["job_id"])
+    return records
+
+
+def snapshot_scheduler(sched: OnlineScheduler, cursor: int = 0) -> dict:
+    """Serializable state of a live :class:`OnlineScheduler`.
+
+    The first ``cursor`` history records are left out — the caller keeps
+    them and hands them back to :func:`restore_scheduler` — and every
+    later one is inlined under ``finished``.  ``cursor=0`` gives a
+    self-contained snapshot.
+    """
+    metrics = sched.metrics
+    if metrics is not None and metrics.completed != sched.n_completed:
+        raise SnapshotError(
+            f"metrics recorded {metrics.completed} completions, the engine "
+            f"{sched.n_completed}: the window cannot be rebuilt from history"
+        )
+    engine = sched.stepper.state_dict()
+    return {
+        "version": SNAPSHOT_VERSION,
+        "cursor": cursor,
+        "finished": finished_records(sched, cursor),
+        "engine": engine,
+        "policy": _encode_policy(sched.policy),
+        "admission": (
+            None if sched.admission is None else sched.admission.state_dict()
+        ),
+        "metrics": None if metrics is None else metrics.state_dict(),
+        "offered": sched.n_offered,
+        "shed": sched.n_shed,
+        # tenants of the live jobs, aligned with engine["jobs"]
+        "tenant_of": [
+            sched.tenant_of(job["job_id"]) for job in engine["jobs"]
+        ],
+        "autoscale": sched.autoscale_state_dict(),
+    }
+
+
+def restore_scheduler(
+    state: dict, history: list[dict] = ()
+) -> OnlineScheduler:
+    """Rebuild a scheduler that continues exactly where the snapshot stopped.
+
+    ``history`` holds the ``state["cursor"]`` history records the snapshot
+    left out, in order.
+    """
+    check_version(state)
+    if len(history) != state["cursor"]:
+        raise SnapshotError(
+            f"snapshot covers {state['cursor']} history records, "
+            f"got {len(history)}"
+        )
+    finished = [*history, *state["finished"]]
     policy = _decode_policy(state["policy"])
-    stepper = FlowStepper.from_state_dict(state["engine"], policy)
+    try:
+        stepper = FlowStepper.from_state_dict(
+            state["engine"], policy, finished
+        )
+    except FlowSimError as exc:
+        raise SnapshotError(f"inconsistent snapshot: {exc}") from exc
+    tenant_of: list[str | None] = [None] * stepper.n_jobs
+    for rec in finished:
+        tenant_of[rec["job_id"]] = rec["tenant"]
+    for job, tenant in zip(state["engine"]["jobs"], state["tenant_of"]):
+        tenant_of[job["job_id"]] = tenant
     admission_state = state["admission"]
     if admission_state is None:
         admission = None
@@ -163,20 +233,24 @@ def restore_scheduler(state: dict) -> OnlineScheduler:
         admission = MultiTenantAdmission.from_state_dict(admission_state)
     else:
         admission = AdmissionController.from_state_dict(admission_state)
-    metrics = (
-        None
-        if state["metrics"] is None
-        else RollingMetrics.from_state_dict(state["metrics"])
-    )
+    metrics = None
+    if state["metrics"] is not None:
+        # the window is the tail of the completions, i.e. of the history
+        completions = [(r["finish"], r["flow"], r["tenant"]) for r in finished]
+        try:
+            metrics = RollingMetrics.from_state_dict(
+                state["metrics"], completions
+            )
+        except ValueError as exc:
+            raise SnapshotError(f"inconsistent snapshot: {exc}") from exc
     return OnlineScheduler._from_stepper(
         stepper,
         admission=admission,
         metrics=metrics,
         offered=state["offered"],
         shed=state["shed"],
-        # absent in pre-tenancy snapshots — tolerate for forward recovery
-        tenant_of=state.get("tenant_of"),
-        # likewise absent in pre-autoscale snapshots
+        tenant_of=tenant_of,
+        # a snapshot of a scheduler built without autoscale may omit it
         autoscale_state=state.get("autoscale"),
     )
 

@@ -162,12 +162,15 @@ class TestSnapshotWithFaults:
         blob = json.dumps(
             {
                 "engine": stepper.state_dict(),
+                "finished": stepper.finished_state(),
                 "policy": _encode_policy(stepper.policy),
             }
         )
         decoded = json.loads(blob)
         clone = FlowStepper.from_state_dict(
-            decoded["engine"], _decode_policy(decoded["policy"])
+            decoded["engine"],
+            _decode_policy(decoded["policy"]),
+            decoded["finished"],
         )
         stepper.drain()
         clone.drain()

@@ -2,9 +2,25 @@
 
 from __future__ import annotations
 
+import json
+from collections import deque
+
+import numpy as np
 import pytest
 
 from repro.serve.metrics import RollingMetrics
+
+
+class UnprunedMetrics(RollingMetrics):
+    """Reference that records every completion and prunes only on read."""
+
+    def on_complete(self, t, flow, tenant=None):
+        self.completed += 1
+        self._flows.append((float(t), float(flow)))
+        if tenant is not None:
+            win = self._tenant(tenant)
+            win.completed += 1
+            win.flows.append((float(t), float(flow)))
 
 
 class TestWindowing:
@@ -117,10 +133,71 @@ class TestCheckpoint:
         m.on_submit(0.0)
         m.on_complete(1.0, 3.0)
         m.on_shed(2.0)
-        restored = RollingMetrics.from_state_dict(m.state_dict())
+        restored = RollingMetrics.from_state_dict(
+            m.state_dict(), [(1.0, 3.0, None)]
+        )
         assert restored.windowed(5.0) == m.windowed(5.0)
         assert (restored.submitted, restored.completed, restored.shed) == (
             1,
             1,
             1,
         )
+
+
+class TestPruneOnComplete:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_reads_match_unpruned_reference(self, seed):
+        """Pruning at completion drops only what no later read could see:
+        every read is byte-equal to a reference that keeps everything,
+        and a never-read instance holds one window of completions."""
+        rng = np.random.default_rng(seed)
+        window = float(rng.choice([0.5, 5.0, 40.0]))
+        read, ref, unread = (
+            RollingMetrics(window),
+            UnprunedMetrics(window),
+            RollingMetrics(window),
+        )
+        everyone = (read, ref, unread)
+        tenants = [None, "a", "b", "c"]
+        finishes: list[float] = []
+        recorded: list[tuple[float, float, str | None]] = []
+        t = 0.0
+        for _ in range(400):
+            t += float(rng.exponential(1.0)) * float(rng.integers(0, 2))
+            tenant = tenants[int(rng.integers(len(tenants)))]
+            kind = rng.choice(["submit", "shed", "complete", "complete"])
+            flow = float(rng.exponential(3.0))
+            for m in everyone:
+                if kind == "submit":
+                    m.on_submit(t, tenant=tenant)
+                elif kind == "shed":
+                    m.on_shed(t, tenant=tenant)
+                else:
+                    m.on_complete(t, flow, tenant)
+            if kind == "complete":
+                recorded.append((t, flow, tenant))
+                finishes.append(t)
+                in_window = sum(1 for f in finishes if f >= t - window)
+                assert len(unread._flows) <= in_window
+                if tenant is not None:
+                    assert len(unread._tenants[tenant].flows) <= in_window
+            now = t + float(rng.exponential(0.5))
+            assert json.dumps(read.windowed(now)) == json.dumps(
+                ref.windowed(now)
+            )
+            assert read.to_prometheus(now, active=3) == ref.to_prometheus(
+                now, active=3
+            )
+            # a checkpoint refills every deque from the completions
+            for m in (read, unread):
+                clone = RollingMetrics.from_state_dict(m.state_dict(), recorded)
+                assert list(clone._flows) == list(m._flows)
+                for name, win in m._tenants.items():
+                    assert list(clone._tenants[name].flows) == list(win.flows)
+
+    def test_unscraped_server_keeps_one_window(self):
+        m = RollingMetrics(window=10.0)
+        for i in range(10_000):
+            m.on_complete(float(i), 1.0, tenant="t")
+        assert len(m._flows) == len(m._tenants["t"].flows) == 11
+        assert isinstance(m._flows, deque)

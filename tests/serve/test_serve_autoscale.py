@@ -211,6 +211,68 @@ class TestRecovery:
         b = recovered.drain().flow_times
         assert a.tolist() == b.tolist()
 
+    def test_journal_cuts_mid_displacement_recover_exactly(self, tmp_path):
+        """SIGKILL after any request of a journaled elastic server that
+        cuts a checkpoint every 3 entries while scale-downs displace
+        running jobs: recovery must reproduce the controller, the
+        requeue log and every drained flow time."""
+        from repro.serve.journal import RequestJournal, apply_entry, recover
+        from repro.serve.server import ServeConfig
+
+        config = ServeConfig(
+            m=4,
+            seed=21,
+            autoscale=True,
+            autoscale_m_min=1,
+            autoscale_tick=5.0,
+            autoscale_up=500.0,
+            autoscale_down=400.0,
+            autoscale_cooldown_up=0.0,
+            autoscale_cooldown_down=0.0,
+            autoscale_requeue_delay=3.0,
+        )
+        entries, t = [], 0.0
+        for k in range(8):
+            entries += [
+                {"op": "submit", "work": 30.0 + 10 * k, "release": t}
+            ] * 4
+            for _ in range(3):
+                t += 3.5  # off the tick grid, so cuts land mid-requeue
+                entries.append({"op": "advance", "to": t})
+
+        def replay(sched, rest):
+            for entry in rest:
+                apply_entry(sched, entry)
+            return sched
+
+        reference = replay(config.build_scheduler(), entries).drain()
+        live = config.build_scheduler()
+        cuts_with_suspended = 0
+        with RequestJournal(tmp_path, snapshot_every=3) as journal:
+            for k, entry in enumerate(entries, 1):
+                journal.append(entry)
+                apply_entry(live, entry)
+                if journal.maybe_snapshot(live):
+                    snap = json.loads((tmp_path / "snapshot.json").read_text())
+                    cuts_with_suspended += bool(
+                        snap["state"]["engine"]["suspended"]
+                    )
+                recovered, seq, _ = recover(
+                    tmp_path, build_empty=config.build_scheduler
+                )
+                assert seq == k
+                assert json.dumps(
+                    recovered.autoscale_state_dict(), default=str
+                ) == json.dumps(live.autoscale_state_dict(), default=str)
+                assert recovered.stepper.requeue_log == live.stepper.requeue_log
+                drained = replay(recovered, entries[k:]).drain()
+                assert drained.flow_times.tolist() == (
+                    reference.flow_times.tolist()
+                )
+        assert live.stats()["autoscale"]["scale_downs"] >= 3
+        assert len(live.stepper.requeue_log) >= 3
+        assert cuts_with_suspended >= 3
+
     def test_pre_autoscale_snapshots_still_restore(self):
         plain = OnlineScheduler(4, DrepSequential(), seed=21)
         burst(plain)

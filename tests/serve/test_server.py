@@ -11,6 +11,7 @@ import pytest
 from repro.flowsim import simulate
 from repro.flowsim.policies import DrepSequential
 from repro.serve.server import SchedulerServer, ServeConfig
+from repro.serve.snapshot import SNAPSHOT_VERSION
 from repro.workloads.traces import generate_trace
 
 
@@ -196,7 +197,10 @@ class TestLifecycle:
 
         asyncio.run(with_server(trace_config(m=1), scenario))
         state = json.loads(path.read_text())
-        assert state["version"] == 1
+        # the standalone file is self-contained: cursor 0, history inlined
+        assert state["version"] == SNAPSHOT_VERSION
+        assert state["cursor"] == 0
+        assert len(state["finished"]) + len(state["engine"]["jobs"]) == 1
 
 
 class TestWallClock:
