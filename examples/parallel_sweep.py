@@ -3,7 +3,7 @@
 
 Sweep cells are independent simulations, and the engines are pure
 Python, so real speedup needs processes (the GIL rules out threads).
-`repro.analysis.parallel` runs declaratively-described cells over a
+`repro.analysis.pool` runs declaratively-described cells over a
 process pool with deterministic, submission-ordered results.
 
 Run:  python examples/parallel_sweep.py
@@ -14,42 +14,36 @@ from __future__ import annotations
 import os
 import time
 
-from repro.analysis.parallel import FlowCell, run_cells
+from repro.analysis.pool import flow_sweep_cells, run_flow_grid
 from repro.analysis.tables import series_table
 
 
 def main() -> None:
-    cells = [
-        FlowCell(
-            policy=policy,
-            distribution="bing",
-            load=0.6,
-            m=m,
-            n_jobs=4000,
-            seed=17,
-        )
-        for m in (1, 4, 16)
-        for policy in ("srpt", "sjf", "rr", "drep")
-    ]
+    cells = flow_sweep_cells(
+        "bing",
+        0.6,
+        "sequential",
+        m_values=(1, 4, 16),
+        n_jobs=4000,
+        seed=17,
+        policies=("srpt", "sjf", "rr", "drep"),
+    )
 
     t0 = time.time()
-    serial = run_cells(cells, workers=1)
+    serial = run_flow_grid(cells, workers=1)
     t_serial = time.time() - t0
 
     workers = min(4, os.cpu_count() or 1)
     t0 = time.time()
-    parallel = run_cells(cells, workers=workers)
+    parallel = run_flow_grid(cells, workers=workers)
     t_parallel = time.time() - t0
 
-    strip = lambda rows: [
-        {k: v for k, v in r.items() if k != "pid"} for r in rows
-    ]
-    assert strip(serial) == strip(parallel), "determinism violated!"
+    assert serial == parallel, "determinism violated!"
 
     print(f"{len(cells)} cells: serial {t_serial:.1f}s, "
           f"{workers} workers {t_parallel:.1f}s "
           f"(speedup {t_serial / t_parallel:.1f}x)\n")
-    print(series_table(parallel, x="m", series="policy", value="mean_flow"))
+    print(series_table(parallel, x="m", series="scheduler", value="mean_flow"))
     print("\nIdentical results either way — workers only change wall time.")
 
 

@@ -1,33 +1,20 @@
-"""Process-parallel experiment execution.
+"""Per-process trace memos for sweep workers.
 
-Parameter sweeps are embarrassingly parallel — every (policy, m, load,
-seed) cell is an independent simulation — and the simulators are pure
-Python, so real speedup needs processes, not threads (the GIL).  This
-module fans sweep cells out over a ``ProcessPoolExecutor`` while keeping
-the library's determinism guarantees: results are returned in submission
-order regardless of completion order, and each cell's seed is explicit.
-
-Cells are described *declaratively* (:class:`FlowCell`) rather than as
-closures so they pickle cheaply; the worker process rebuilds the trace
-from its generation parameters instead of shipping 100k-job arrays
-through the pipe, and memoizes it per process (``_TRACE_MEMO``) so the
-many cells of a sweep that differ only in policy generate it once.
+Parameter sweeps run many cells that differ only in policy, and the grid
+runner (:mod:`repro.analysis.pool`) fans them out over worker processes
+that rebuild each trace from its generation parameters instead of
+shipping 100k-job arrays through a pipe.  The memos here make every
+process generate a given trace once: generation is a deterministic pure
+function of its parameters, so sharing is safe.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-
 from repro.core.job import ParallelismMode
 
 __all__ = [
-    "FlowCell",
     "memoized_trace",
     "memoized_ws_trace",
-    "run_cells",
-    "parallel_flow_sweep",
 ]
 
 
@@ -71,8 +58,8 @@ def _memoized_trace(
     return trace
 
 
-#: public name — the grid runner (:mod:`repro.analysis.pool`) reuses the
-#: same per-process memo so mixed FlowCell/grid workloads share traces
+#: public name — the grid runner (:mod:`repro.analysis.pool`) and the
+#: shared-memory shipment key their traces through this memo
 memoized_trace = _memoized_trace
 
 
@@ -119,98 +106,3 @@ def memoized_ws_trace(
             _TRACE_MEMO.pop(next(iter(_TRACE_MEMO)))
         _TRACE_MEMO[key] = trace
     return trace
-
-
-@dataclass(frozen=True)
-class FlowCell:
-    """One flow-level simulation cell, picklable and self-contained."""
-
-    policy: str
-    distribution: str
-    load: float
-    m: int
-    n_jobs: int
-    mode: str = "sequential"
-    seed: int = 0
-    speed: float = 1.0
-    policy_kwargs: tuple = field(default=())  # (key, value) pairs
-
-    def run(self) -> dict:
-        """Execute in the current process; returns a flat result row."""
-        from repro.flowsim.engine import FlowSimConfig, simulate
-        from repro.flowsim.policies import policy_by_name
-
-        trace = _memoized_trace(
-            self.distribution, self.load, self.m, self.n_jobs, self.mode, self.seed
-        )
-        policy = policy_by_name(self.policy, **dict(self.policy_kwargs))
-        result = simulate(
-            trace,
-            self.m,
-            policy,
-            seed=self.seed,
-            config=FlowSimConfig(speed=self.speed),
-        )
-        return {
-            "policy": result.scheduler,
-            "distribution": self.distribution,
-            "load": self.load,
-            "m": self.m,
-            "mode": self.mode,
-            "seed": self.seed,
-            "speed": self.speed,
-            "mean_flow": result.mean_flow,
-            "p99_flow": result.percentile(99),
-            "preemptions": result.preemptions,
-            "pid": os.getpid(),
-        }
-
-
-def _run_cell(cell: FlowCell) -> dict:
-    return cell.run()
-
-
-def run_cells(cells: list[FlowCell], workers: int | None = None) -> list[dict]:
-    """Run cells, fanning out over processes when it pays.
-
-    ``workers=None`` picks ``min(len(cells), cpu_count)``; ``workers=1``
-    or a single cell runs inline (no pool overhead, easier debugging).
-    Results come back in submission order.
-    """
-    if not cells:
-        return []
-    if workers is None:
-        workers = min(len(cells), os.cpu_count() or 1)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if workers == 1 or len(cells) == 1:
-        return [cell.run() for cell in cells]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_cell, cells))
-
-
-def parallel_flow_sweep(
-    policies: list[str],
-    distribution: str,
-    load: float,
-    m_values: list[int],
-    n_jobs: int,
-    mode: str = "sequential",
-    seed: int = 0,
-    workers: int | None = None,
-) -> list[dict]:
-    """Figure-1/2 style sweep, one process per cell."""
-    cells = [
-        FlowCell(
-            policy=policy,
-            distribution=distribution,
-            load=load,
-            m=m,
-            n_jobs=n_jobs,
-            mode=mode,
-            seed=seed,
-        )
-        for m in m_values
-        for policy in policies
-    ]
-    return run_cells(cells, workers=workers)

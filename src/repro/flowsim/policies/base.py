@@ -29,8 +29,9 @@ class OrderSpec:
     O(log n) per admission / completion / fault eviction and feeds the
     policy's allocation from ``(inserted, removed, decremented)`` deltas
     — the sparse, incremental complement of the dense
-    ``np.lexsort``-based :meth:`Policy.rates_array` the policy keeps as
-    its ``use_incremental=False`` fallback.
+    ``np.lexsort``-based :meth:`Policy.rates_array`, which the policy
+    keeps for runs below the engine's promotion threshold
+    (``FlowSimConfig.incremental_min_active``).
 
     ``key`` names the per-job sort key: ``"remaining"`` (SRPT — the
     engine re-keys served jobs after every segment, the *decremented*
@@ -139,26 +140,21 @@ class Policy(abc.ABC):
     #: the serving layer free.  Policies whose priorities move with
     #: attained or remaining work (SRPT, SETF, MLF) must leave this
     #: ``False``.
-    rates_stable: bool = False
-
-    #: **Batched-horizon opt-in** (the flowsim completion-horizon
-    #: kernel).  ``True`` lets the engine fold whole runs of events
-    #: between true decision points — every completion before the next
-    #: arrival, and the arrivals themselves — into one vectorized kernel
-    #: pass over its flat buffers instead of one ``step()`` per event
-    #: (``FlowStepper.drain`` / ``advance_to``).  The kernel preserves
-    #: the exact hook order, view contents and RNG draw sequence, so the
-    #: opt-in adds only two requirements on top of :attr:`rates_stable`
-    #: (which it presumes, together with a :meth:`rates_array`
-    #: override): the policy must not treat the *number* of engine
+    #:
+    #: With a :meth:`rates_array` override (and no timer), the contract
+    #: also lets the engine fold whole runs of events between true
+    #: decision points — every completion before the next arrival, and
+    #: the arrivals themselves — into one pass over its flat buffers
+    #: (``FlowStepper.drain`` / ``advance_to``).  A folded pass keeps the
+    #: exact hook order, view contents and RNG draw sequence, so it adds
+    #: two requirements: the policy must not treat the *number* of engine
     #: iterations as information (e.g. counting ``rates`` calls as a
     #: clock), and :meth:`rates_array` must return nonnegative rates on
     #: every call — not merely on the amortized ``check_every_k``
-    #: verification grid, since the kernel's sparse updates skip
-    #: zero-rate entries that a negative rate would silently turn into
-    #: (erroneous) progress.  Every bundled ``rates_stable`` policy
-    #: satisfies all of this and opts in.
-    batch_horizon: bool = False
+    #: verification grid, since the pass's sparse updates skip zero-rate
+    #: entries that a negative rate would silently turn into (erroneous)
+    #: progress.  Every bundled ``rates_stable`` policy meets both.
+    rates_stable: bool = False
 
     #: **Incremental-order opt-in** (the flowsim order/calendar
     #: kernels).  A :class:`OrderSpec` declares that the policy's rate
@@ -170,8 +166,9 @@ class Policy(abc.ABC):
     #: :meth:`rates_array` *exactly* — same keys, same tie-breaks, same
     #: allocation — since the engine stops calling the hook on the
     #: incremental path and the equivalence suite pins bit-for-bit
-    #: equality against it.  ``None`` (the default) keeps the policy on
-    #: the dense paths.
+    #: equality against it (the engine only promotes policies that
+    #: override :meth:`rates_array`).  ``None`` (the default) keeps the
+    #: policy on the dense paths.
     order_spec: "OrderSpec | None" = None
 
     def reset(self, m: int, rng: np.random.Generator) -> None:
@@ -229,21 +226,21 @@ class Policy(abc.ABC):
         * the input arrays alias live engine state — never mutate or
           retain them; always return a fresh array.
 
-        The engine only uses the hook when
-        :attr:`repro.flowsim.engine.FlowSimConfig.use_rates_array` is on
-        (default) and the policy actually overrides it; everything else
-        falls back to the object path.  Timer policies still receive
-        their :meth:`next_timer` view.
+        The engine uses the hook whenever the policy class overrides it;
+        a policy that does not is served through :meth:`rates` on a
+        materialized view (the object path).  Timer policies still
+        receive their :meth:`next_timer` view.
         """
         raise NotImplementedError(f"{self.name} has no vectorized rate hook")
 
     def rates_array_patch(
         self, job_ids: np.ndarray, caps: np.ndarray
     ) -> list[tuple[int, float]] | None:
-        """Optional sparse complement of :meth:`rates_array` (batch kernel).
+        """Optional sparse complement of :meth:`rates_array` (folded passes).
 
-        At a decision point inside the completion-horizon kernel the
-        engine already holds the previous segment's rate vector and has
+        At a decision point inside a folded pass (see
+        :attr:`rates_stable`) the engine already holds the previous
+        segment's rate vector and has
         *structurally aligned* it to the new composition — completed
         entries dropped, admitted jobs appended with rate ``0.0``, order
         still matching ``job_ids``.  A policy whose rate changes are
@@ -260,7 +257,7 @@ class Policy(abc.ABC):
         Return ``None`` (the default) to force a full recompute.  The
         engine still runs the amortized ``check_every_k`` invariant
         verification on the patched vector at the exact same cadence as
-        the per-event path, so a patch is never exempt from checking.
+        on a rebuild, so a patch is never exempt from checking.
         """
         return None
 

@@ -23,7 +23,6 @@ class FIFO(Policy):
     name = "FIFO"
     clairvoyant = False
     rates_stable = True  # priority is the static release time
-    batch_horizon = True
     order_spec = OrderSpec(key="release")  # static keys: inserts/removes only
 
     def rates(self, view: ActiveView) -> np.ndarray:

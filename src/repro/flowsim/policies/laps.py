@@ -29,7 +29,6 @@ class LAPS(Policy):
 
     clairvoyant = False
     rates_stable = True  # the beta-fraction depends only on releases/ids
-    batch_horizon = True
     # latest-first order, equal split over its first ceil(beta*n) jobs
     order_spec = OrderSpec(key="release", descending=True, alloc="share_topk")
 

@@ -24,7 +24,6 @@ class SJF(Policy):
     name = "SJF"
     clairvoyant = True
     rates_stable = True  # priority is the static total work
-    batch_horizon = True
     order_spec = OrderSpec(key="work")  # static keys: inserts/removes only
 
     def rates(self, view: ActiveView) -> np.ndarray:

@@ -64,7 +64,6 @@ class HDF(_WeightAware):
     name = "HDF"
     clairvoyant = True
     rates_stable = True  # density uses static weight / total work
-    batch_horizon = True
 
     def rates(self, view: ActiveView) -> np.ndarray:
         density = self.weights_of(view) / view.work

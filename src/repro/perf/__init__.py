@@ -5,9 +5,8 @@ Three pieces:
 * :class:`~repro.perf.counters.PerfCounters` — near-zero-overhead hot-loop
   counters (rate-recompute hits/misses, amortized-check accounting, macro
   steps) that both engines attach to ``ScheduleResult.extra["perf"]``;
-* :mod:`repro.perf.bench` — the standing throughput suite (the same
-  workloads as ``benchmarks/test_engine_throughput.py``) runnable from
-  Python or via ``drep-sim bench``;
+* :mod:`repro.perf.bench` — the standing throughput suite, runnable
+  from Python or via ``drep-sim bench``;
 * :mod:`repro.perf.trajectory` — the ``BENCH_<pr>.json`` trajectory
   format: one file per PR recording that PR's measured throughput, so the
   repo carries its own perf history and a regression is a diff away;

@@ -1,9 +1,8 @@
 """The standing throughput suite behind ``drep-sim bench``.
 
-Runs the same five workloads as ``benchmarks/test_engine_throughput.py``
-(the pytest-benchmark regression guards) but as a plain library call, so
-the numbers can be captured into the ``BENCH_<pr>.json`` perf trajectory
-from the CLI, CI, or a notebook without pytest in the loop.
+Runs the frozen engine workloads as a plain library call, so the numbers
+can be captured into the ``BENCH_<pr>.json`` perf trajectory from the
+CLI, CI, or a notebook without pytest in the loop.
 
 Each case reports the best-of-``repeats`` wall time (the standard
 microbenchmark convention: the minimum is the least noisy estimator of
@@ -379,7 +378,13 @@ def _churn_case(seed: int, use_incremental: bool):
         from repro.perf.scaling import staircase_jobs
 
         n = 10_000
-        config = FlowSimConfig(use_incremental=use_incremental)
+        # the dense twin's promotion threshold sits above the staircase
+        # depth, so that run never leaves the lexsort/scan path
+        config = (
+            FlowSimConfig()
+            if use_incremental
+            else FlowSimConfig(incremental_min_active=n + 1)
+        )
 
         def run() -> dict:
             res = simulate_stream(

@@ -9,10 +9,10 @@ entirely on the flat SoA buffers without materializing an ActiveView
 hooks/timers/object-path policies), how many unit steps the wsim
 event-horizon kernel skipped (``horizon_jumps`` / ``horizon_steps_saved``),
 how many runs fell off the kernel's dyadic-grid exactness contract and
-took the pure per-step path (``exactness_fallbacks``), what the flowsim
-completion-horizon batch kernel absorbed (``batch_jumps`` kernel entries
+took the pure per-step path (``exactness_fallbacks``), what folded
+passes of the flowsim event loop absorbed (``batch_jumps`` passes
 folding ``batch_events_folded`` events that would otherwise each have
-been a ``step()`` call, of which ``batch_rate_patches`` decision points
+been a one-event call, of which ``batch_rate_patches`` decision points
 refreshed the rate vector through the policy's sparse
 ``rates_array_patch`` instead of a full ``rates_array`` rebuild), what
 the incremental order/calendar kernels did (``order_ops`` structural

@@ -82,17 +82,19 @@ def measure_scaling(
     from repro.flowsim.engine import FlowSimConfig
     from repro.flowsim.stream import simulate_stream
 
-    # promote at construction: the ladder measures the *pure*
-    # incremental path at every rung, not the adaptive hybrid (small
-    # rungs would otherwise stay dense below incremental_min_active and
-    # pollute the fitted exponent with the dense path's slope)
-    config = FlowSimConfig(
-        use_incremental=use_incremental, incremental_min_active=0
-    )
     out: dict[str, dict] = {}
     for key in policies:
         points = []
         for n in n_actives:
+            # promote at construction: the ladder measures the *pure*
+            # incremental path at every rung, not the adaptive hybrid
+            # (small rungs would otherwise stay dense below the default
+            # incremental_min_active and pollute the fitted exponent with
+            # the dense path's slope); the dense comparator puts the
+            # threshold above the rung's depth instead
+            config = FlowSimConfig(
+                incremental_min_active=0 if use_incremental else n + 1
+            )
             best = float("inf")
             best_perf: dict = {}
             events = 0

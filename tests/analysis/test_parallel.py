@@ -1,77 +1,42 @@
-"""Tests for process-parallel sweep execution."""
+"""Tests for the per-process trace memos (`repro.analysis.parallel`)
+and the grid runner's flow cells that rebuild their traces through them."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis import parallel as par_mod
-from repro.analysis.parallel import (
-    FlowCell,
-    _memoized_trace,
-    parallel_flow_sweep,
-    run_cells,
-)
+from repro.analysis.parallel import _memoized_trace
+from repro.analysis.pool import FlowSweepCell, run_flow_grid
 
 
 def cell(**kw):
     defaults = dict(
-        policy="srpt",
         distribution="finance",
         load=0.5,
         m=2,
+        mode="sequential",
+        policy="srpt",
         n_jobs=120,
         seed=3,
     )
     defaults.update(kw)
-    return FlowCell(**defaults)
+    return FlowSweepCell(**defaults)
 
 
 class TestFlowCell:
     def test_runs_inline(self):
         row = cell().run()
         assert row["mean_flow"] > 0
-        assert row["policy"] == "SRPT"
+        assert row["scheduler"] == "SRPT"
 
     def test_policy_kwargs(self):
         row = cell(policy="laps", policy_kwargs=(("beta", 0.25),)).run()
-        assert "LAPS(0.25)" == row["policy"]
+        assert "LAPS(0.25)" == row["scheduler"]
 
     def test_picklable(self):
         import pickle
 
         c = cell()
         assert pickle.loads(pickle.dumps(c)) == c
-
-
-class TestRunCells:
-    def test_empty(self):
-        assert run_cells([]) == []
-
-    def test_single_cell_inline(self):
-        rows = run_cells([cell()])
-        assert len(rows) == 1
-
-    def test_workers_validation(self):
-        with pytest.raises(ValueError):
-            run_cells([cell()], workers=0)
-
-    def test_parallel_matches_serial(self):
-        cells = [cell(m=m, policy=p) for m in (1, 2) for p in ("srpt", "rr")]
-        serial = run_cells(cells, workers=1)
-        parallel = run_cells(cells, workers=2)
-        strip = lambda rows: [{k: v for k, v in r.items() if k != "pid"} for r in rows]
-        assert strip(serial) == strip(parallel)
-
-    def test_parallel_actually_uses_processes(self):
-        cells = [cell(seed=s, n_jobs=400) for s in range(4)]
-        rows = run_cells(cells, workers=4)
-        pids = {r["pid"] for r in rows}
-        assert len(pids) >= 2  # at least two distinct worker processes
-
-    def test_submission_order_preserved(self):
-        cells = [cell(m=m) for m in (4, 1, 2)]
-        rows = run_cells(cells, workers=3)
-        assert [r["m"] for r in rows] == [4, 1, 2]
 
 
 class TestTraceMemo:
@@ -119,27 +84,8 @@ class TestTraceMemo:
         assert seeds == [2, 3, 4]
 
     def test_cells_sharing_params_reuse_trace(self):
-        rows = run_cells(
+        rows = run_flow_grid(
             [cell(policy="srpt"), cell(policy="rr")], workers=1
         )
         assert len(par_mod._TRACE_MEMO) == 1
         assert rows[0]["mean_flow"] > 0
-
-
-class TestSweep:
-    def test_sweep_shape(self):
-        rows = parallel_flow_sweep(
-            policies=["srpt", "drep"],
-            distribution="finance",
-            load=0.6,
-            m_values=[1, 2],
-            n_jobs=100,
-            seed=5,
-            workers=2,
-        )
-        assert len(rows) == 4
-        assert {r["policy"] for r in rows} == {"SRPT", "DREP"}
-        # same trace per (m): SRPT <= DREP within each m
-        by = {(r["m"], r["policy"]): r["mean_flow"] for r in rows}
-        for m in (1, 2):
-            assert by[(m, "SRPT")] <= by[(m, "DREP")] * (1 + 1e-9)

@@ -1,13 +1,27 @@
-"""Parity: the parallel sweep must reproduce the serial harness exactly."""
+"""Parity: a grid-runner flow cell must reproduce the serial harness exactly."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.analysis.experiments import run_flow_point
-from repro.analysis.parallel import FlowCell
+from repro.analysis.pool import FlowSweepCell
 from repro.core.job import ParallelismMode
 from repro.flowsim.policies import DrepSequential, RoundRobin, SRPT
+
+
+def cell(**kw) -> FlowSweepCell:
+    defaults = dict(
+        distribution="finance",
+        load=0.6,
+        m=2,
+        mode="sequential",
+        policy="srpt",
+        n_jobs=80,
+        seed=32,
+    )
+    defaults.update(kw)
+    return FlowSweepCell(**defaults)
 
 
 class TestParity:
@@ -27,51 +41,18 @@ class TestParity:
             seed=31,
         )
         harness_flow = rows[0]["mean_flow"]
-        cell_flow = FlowCell(
-            policy=pol_name,
-            distribution="finance",
-            load=0.6,
-            m=2,
-            n_jobs=150,
-            seed=31,
-        ).run()["mean_flow"]
+        cell_flow = cell(policy=pol_name, n_jobs=150, seed=31).run()["mean_flow"]
         assert cell_flow == pytest.approx(harness_flow, rel=1e-12)
 
     def test_mode_plumbs_through(self):
-        cell = FlowCell(
-            policy="srpt",
-            distribution="finance",
-            load=0.6,
-            m=2,
-            n_jobs=80,
-            mode="fully_parallel",
-            seed=32,
-        )
-        row = cell.run()
+        row = cell(mode="fully_parallel").run()
         assert row["mode"] == "fully_parallel"
         # fully parallel at m=2 ~ single resource: flows differ from the
         # sequential-mode cell on the same parameters
-        seq = FlowCell(
-            policy="srpt",
-            distribution="finance",
-            load=0.6,
-            m=2,
-            n_jobs=80,
-            seed=32,
-        ).run()
+        seq = cell().run()
         assert row["mean_flow"] != seq["mean_flow"]
 
     def test_speed_plumbs_through(self):
-        slow = FlowCell(
-            policy="srpt", distribution="finance", load=0.6, m=2, n_jobs=80, seed=33
-        ).run()
-        fast = FlowCell(
-            policy="srpt",
-            distribution="finance",
-            load=0.6,
-            m=2,
-            n_jobs=80,
-            seed=33,
-            speed=2.0,
-        ).run()
+        slow = cell(seed=33).run()
+        fast = cell(seed=33, speed=2.0).run()
         assert fast["mean_flow"] < slow["mean_flow"]

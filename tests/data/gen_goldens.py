@@ -77,12 +77,22 @@ def flow_profiled_trace():
     return attach_dags(scale_trace(base, 100.0), parallelism=8, seed=44)
 
 
-def run_flow_case(trace, m, policy_name, seed, config=FlowSimConfig()):
-    policy = policy_by_name(policy_name)
+def run_flow_case(trace, m, policy, seed, config=FlowSimConfig(), steps=False):
+    """Run ``policy`` (a name or a Policy instance) and record the case.
+
+    ``steps=True`` drives the run with one-event ``step()`` calls instead
+    of ``drain()``, which folds events where the run allows it.
+    """
+    if isinstance(policy, str):
+        policy = policy_by_name(policy)
     stepper = FlowStepper(m, policy, seed=seed, config=config)
     for spec in trace.jobs:
         stepper.add_job(spec)
-    stepper.drain()
+    if steps:
+        while not stepper.drained:
+            stepper.step()
+    else:
+        stepper.drain()
     result = stepper.result()
     record = {
         "flow_times": [float(x) for x in result.flow_times],

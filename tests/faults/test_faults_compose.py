@@ -3,7 +3,8 @@
 Faults exercise the engine paths the vectorized hot loop had to keep
 intact — mid-run capacity changes, job aborts (active-set removal), and
 resume re-insertion — so every plan kind is run through both the SoA
-path and the legacy object path and must agree exactly.  The pool side
+path and the object path (the policy's vectorized hooks hidden) and must
+agree exactly.  The pool side
 checks that `FaultPlan`s survive per-cell pickling: a resilience grid
 must produce the same rows whether the plans ride to a worker process
 or never leave the parent.
@@ -15,11 +16,10 @@ import pytest
 
 from repro.faults.experiment import run_resilience_experiment
 from repro.faults.plan import named_fault_plans
-from repro.flowsim.engine import FlowSimConfig, simulate
+from repro.flowsim.engine import simulate
 from repro.flowsim.policies import policy_by_name
 from repro.workloads.traces import generate_trace
-
-OBJECT_PATH = FlowSimConfig(use_rates_array=False)
+from tests.flowsim.paths import object_path
 
 
 @pytest.fixture(scope="module")
@@ -50,10 +50,7 @@ class TestSoaPathUnderFaults:
         soa = simulate(
             trace, 4, policy_by_name(policy), seed=17, faults=plan
         )
-        obj = simulate(
-            trace, 4, policy_by_name(policy), seed=17, faults=plan,
-            config=OBJECT_PATH,
-        )
+        obj = simulate(trace, 4, object_path(policy), seed=17, faults=plan)
         assert _record(soa) == _record(obj)
 
     def test_faults_actually_fired(self, trace, plans):

@@ -27,6 +27,7 @@ from pathlib import Path
 import pytest
 
 from repro.flowsim.engine import FlowSimConfig
+from tests.flowsim.paths import object_path
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 
@@ -97,36 +98,30 @@ def test_check_every_k_is_pure_validation(seq_trace, policy, k):
     assert json.loads(json.dumps(got)) == GOLDEN[f"seq/{policy}"]
 
 
-# -- the vectorized rates_array hook vs the legacy object path ------------
+# -- the vectorized rates_array hook vs the object path --------------------
 #
-# `use_rates_array=False` forces every policy through `rates(view)` even
-# when it implements the vectorized hook.  Both paths must hit the same
-# goldens bit-for-bit: the hook is an execution strategy, never semantics.
+# `object_path` hides a policy's vectorized hooks, so the engine serves it
+# through `rates(view)`.  Both paths must hit the same goldens
+# bit-for-bit: the hook is an execution strategy, never semantics.  Each
+# golden is also replayed one event per `step()` call, which never folds.
 
 
 @pytest.mark.parametrize("policy", gen_goldens.FLOW_SEQ_POLICIES)
 def test_sequential_object_path_bit_for_bit(seq_trace, policy):
-    got = gen_goldens.run_flow_case(
-        seq_trace, 4, policy, seed=7, config=FlowSimConfig(use_rates_array=False)
-    )
+    got = gen_goldens.run_flow_case(seq_trace, 4, object_path(policy), seed=7)
     assert json.loads(json.dumps(got)) == GOLDEN[f"seq/{policy}"]
 
 
 @pytest.mark.parametrize("policy", gen_goldens.FLOW_PAR_POLICIES)
 def test_parallel_object_path_bit_for_bit(par_trace, policy):
-    got = gen_goldens.run_flow_case(
-        par_trace, 4, policy, seed=7, config=FlowSimConfig(use_rates_array=False)
-    )
+    got = gen_goldens.run_flow_case(par_trace, 4, object_path(policy), seed=7)
     assert json.loads(json.dumps(got)) == GOLDEN[f"par/{policy}"]
 
 
 def test_speed_augmented_object_path_bit_for_bit(seq_trace):
     got = gen_goldens.run_flow_case(
-        seq_trace,
-        4,
-        "drep",
-        seed=7,
-        config=FlowSimConfig(speed=2.0, use_rates_array=False),
+        seq_trace, 4, object_path("drep"), seed=7,
+        config=FlowSimConfig(speed=2.0),
     )
     assert json.loads(json.dumps(got)) == GOLDEN["seq/drep/speed2"]
 
@@ -135,8 +130,20 @@ def test_profiled_object_path_bit_for_bit():
     got = gen_goldens.run_flow_case(
         gen_goldens.flow_profiled_trace(),
         4,
-        "srpt",
+        object_path("srpt"),
         seed=7,
-        config=FlowSimConfig(use_profiles=True, use_rates_array=False),
+        config=FlowSimConfig(use_profiles=True),
     )
     assert json.loads(json.dumps(got)) == GOLDEN["profiled/srpt"]
+
+
+@pytest.mark.parametrize("policy", gen_goldens.FLOW_SEQ_POLICIES)
+def test_sequential_one_event_steps_bit_for_bit(seq_trace, policy):
+    got = gen_goldens.run_flow_case(seq_trace, 4, policy, seed=7, steps=True)
+    assert json.loads(json.dumps(got)) == GOLDEN[f"seq/{policy}"]
+
+
+@pytest.mark.parametrize("policy", gen_goldens.FLOW_PAR_POLICIES)
+def test_parallel_one_event_steps_bit_for_bit(par_trace, policy):
+    got = gen_goldens.run_flow_case(par_trace, 4, policy, seed=7, steps=True)
+    assert json.loads(json.dumps(got)) == GOLDEN[f"par/{policy}"]

@@ -1,20 +1,22 @@
-"""Property tests: incremental order/calendar kernels ≡ dense lexsort path.
+"""Property tests: incremental order/calendar structures ≡ dense lexsort path.
 
-``use_incremental=True`` (the default) lets order-driven policies (SRPT,
-SJF/SWF, FIFO, LAPS) run on the engine-maintained
-:class:`~repro.flowsim.order.OrderIndex` and
-:class:`~repro.flowsim.order.CompletionCalendar` instead of re-sorting
-the whole active set and scanning every remaining-work entry per event;
-``False`` forces the classic dense ``np.lexsort`` + full next-event
+Order-driven policies (SRPT, SJF/SWF, FIFO, LAPS) promote to the
+engine-maintained :class:`~repro.flowsim.order.OrderIndex` and
+:class:`~repro.flowsim.order.CompletionCalendar` once their active set
+reaches ``incremental_min_active``, instead of re-sorting the whole
+active set and scanning every remaining-work entry per event.  A
+threshold of 0 promotes at construction; one above the instance size
+keeps the run on the classic dense ``np.lexsort`` + full next-event
 scan.  These tests generate random instances with Hypothesis and require
 the two executions to agree *exactly* — per-job flow times at full float
 precision, event/switch counters, utilization — across policies, check
-cadences, fault plans, streaming chunkings, and the batch-kernel on/off
-axis.
+cadences, fault plans, streaming chunkings, and folded versus one-event
+calls.
 
-The sibling files pin the other engine equivalences: ``test_soa_equivalence``
-(SoA ≡ object path) and ``test_batch_equivalence`` (batch kernel ≡ unit
-steps).  This one pins PR 10's O(log n) structures to all of them.
+The sibling file ``test_soa_equivalence`` pins the engine's other paths
+to each other (vectorized hook ≡ object path, folded ≡ one event per
+call, patched ≡ rebuilt rate vector); this one pins the O(log n)
+structures to all of them.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from repro.flowsim.engine import FlowSimConfig, FlowStepper, simulate
 from repro.flowsim.policies import policy_by_name
 from repro.flowsim.stream import simulate_stream
 from repro.workloads.traces import Trace, generate_trace
+from tests.flowsim.paths import object_path
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 _spec = importlib.util.spec_from_file_location(
@@ -43,7 +46,9 @@ _spec.loader.exec_module(gen_goldens)
 #: every policy publishing an order_spec (the incremental-eligible set)
 ORDER_POLICIES = ["srpt", "sjf", "swf", "fifo", "laps"]
 
-DENSE = FlowSimConfig(use_incremental=False)
+#: a promotion threshold above every instance here: the run stays dense
+NEVER = 10**6
+DENSE = FlowSimConfig(incremental_min_active=NEVER)
 #: promote at construction — the instances here are far below the
 #: default ``incremental_min_active`` crossover threshold, which would
 #: otherwise (correctly) keep them on the dense path and make the
@@ -99,9 +104,9 @@ def test_incremental_equals_dense(inst, policy_idx, seed):
     k=st.sampled_from([1, 7, 1000]),
 )
 def test_incremental_equals_dense_under_check_k(inst, policy_idx, k):
-    """The incremental tail must honor the amortized-check cadence —
+    """The order walk must honor the amortized-check cadence —
     ``checks_run``/``checks_skipped`` advance only on alloc rebuilds,
-    exactly as ``_check_rates`` does on the dense path."""
+    exactly as on a dense rebuild."""
     trace, m, mode = inst
     policy = ORDER_POLICIES[policy_idx]
     inc = gen_goldens.run_flow_case(
@@ -113,7 +118,7 @@ def test_incremental_equals_dense_under_check_k(inst, policy_idx, k):
         m,
         policy,
         seed=5,
-        config=FlowSimConfig(check_every_k=k, use_incremental=False),
+        config=FlowSimConfig(check_every_k=k, incremental_min_active=NEVER),
     )
     assert inc == dense
 
@@ -125,19 +130,15 @@ def test_incremental_equals_dense_under_check_k(inst, policy_idx, k):
     seed=st.integers(0, 10),
 )
 def test_incremental_equals_dense_unit_steps(inst, policy_idx, seed):
-    """With the batch kernel off, the per-event incremental tail
-    (``_inc_step_tail``) must still match the dense ``step()`` exactly."""
+    """One event per ``step()`` call, the promoted run must still match
+    the dense run exactly."""
     trace, m, mode = inst
     policy = ORDER_POLICIES[policy_idx]
     inc = gen_goldens.run_flow_case(
-        trace, m, policy, seed=seed,
-        config=FlowSimConfig(
-            use_batch_horizon=False, incremental_min_active=0
-        ),
+        trace, m, policy, seed=seed, config=INC, steps=True
     )
     dense = gen_goldens.run_flow_case(
-        trace, m, policy, seed=seed,
-        config=FlowSimConfig(use_batch_horizon=False, use_incremental=False),
+        trace, m, policy, seed=seed, config=DENSE, steps=True
     )
     assert inc == dense
 
@@ -173,7 +174,7 @@ def test_incremental_streaming_chunk_invariance(inst, policy_idx, chunk, harvest
 @pytest.mark.parametrize("policy", ORDER_POLICIES)
 @pytest.mark.parametrize("plan_name", ["rolling", "half-down", "random"])
 def test_incremental_under_fault_plans(policy, plan_name):
-    """Fault timelines force the per-event tail; structures must track
+    """Fault timelines force one event per call; structures must track
     mass evictions, rate degradations and requeues bit for bit."""
     trace = generate_trace(120, "finance", 0.7, 4, seed=17)
     horizon = max(j.release for j in trace.jobs) + 50.0
@@ -208,13 +209,11 @@ def test_incremental_kernel_actually_engages():
 
 
 def test_object_path_forces_dense_fallback():
-    """``use_rates_array=False`` removes the SoA surface the incremental
-    core needs; the engine must stand down to the object path, not drift."""
+    """A policy without the vectorized hook has nothing for its order
+    spec to describe; the engine must stay on the object path, even at a
+    promotion threshold of 0, and not drift."""
     trace = generate_trace(80, "bing", 0.7, 4, seed=11)
-    obj = simulate(
-        trace, 4, policy_by_name("srpt"), seed=11,
-        config=FlowSimConfig(use_rates_array=False),
-    )
+    obj = simulate(trace, 4, object_path("srpt"), seed=11, config=INC)
     perf = dict(obj.extra.get("perf", {}))
     assert perf.get("order_ops", 0) == 0
     dense = simulate(trace, 4, policy_by_name("srpt"), seed=11, config=DENSE)
@@ -247,10 +246,7 @@ def test_promotion_threshold_defers_structures():
     """Below the threshold the dense path must actually run (no order
     ops paid); crossing it mid-run must light the structures up."""
     trace = generate_trace(300, "finance", 0.7, 4, seed=23)
-    never = simulate(
-        trace, 4, policy_by_name("srpt"), seed=23,
-        config=FlowSimConfig(incremental_min_active=10**9),
-    )
+    never = simulate(trace, 4, policy_by_name("srpt"), seed=23, config=DENSE)
     assert dict(never.extra.get("perf", {})).get("order_ops", 0) == 0
 
     # a staircase guarantees the active set crosses a small threshold
@@ -300,9 +296,7 @@ def test_mass_eviction_empties_active_set_then_parks(use_incremental):
         ),
         name="blackout+abort",
     )
-    config = FlowSimConfig(
-        use_incremental=use_incremental, incremental_min_active=0
-    )
+    config = INC if use_incremental else DENSE
     stepper = FlowStepper(
         2, policy_by_name("srpt"), seed=0, config=config, faults=plan
     )
@@ -331,7 +325,7 @@ def test_heavy_churn_staircase_10k_active():
     results = {}
     for label, config in (
         ("inc", FlowSimConfig()),
-        ("dense", FlowSimConfig(use_incremental=False)),
+        ("dense", FlowSimConfig(incremental_min_active=n + 1)),
     ):
         r = simulate_stream(
             _staircase(n, work), m, policy_by_name("fifo"), seed=0,

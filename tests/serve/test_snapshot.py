@@ -142,3 +142,50 @@ class TestErrors:
         state["policy"]["class"] = "os:system"
         with pytest.raises(SnapshotError, match="repro"):
             restore_scheduler(state)
+
+
+class TestRetiredEngineSwitches:
+    """Snapshots written before the engine picked its paths by capability
+    carry three config switches the engine no longer has."""
+
+    RETIRED = ("use_rates_array", "use_batch_horizon", "use_incremental")
+
+    def _mid_run_state(self):
+        trace = generate_trace(120, "finance", 0.7, 4, seed=21)
+        sched = OnlineScheduler(4, DrepSequential(), seed=21)
+        stream_prefix(sched, trace, 60)
+        return trace, json.loads(json.dumps(snapshot_scheduler(sched)))
+
+    def test_snapshot_no_longer_writes_them(self):
+        _, state = self._mid_run_state()
+        assert not set(self.RETIRED) & set(state["engine"]["config"])
+
+    def test_parent_format_restores_bit_for_bit(self):
+        trace, state = self._mid_run_state()
+        uninterrupted = simulate(trace, 4, DrepSequential(), seed=21)
+        state["engine"]["config"].update(dict.fromkeys(self.RETIRED, True))
+        result = stream_rest_and_drain(restore_scheduler(state), trace, 60)
+        np.testing.assert_array_equal(
+            result.flow_times, uninterrupted.flow_times
+        )
+        assert result.preemptions == uninterrupted.preemptions
+        assert result.extra["events"] == uninterrupted.extra["events"]
+
+    @pytest.mark.parametrize("key", RETIRED)
+    def test_switch_turned_off_rejected(self, key):
+        _, state = self._mid_run_state()
+        state["engine"]["config"][key] = False
+        with pytest.raises(SnapshotError, match=key):
+            restore_scheduler(state)
+
+    def test_unknown_config_key_rejected(self):
+        _, state = self._mid_run_state()
+        state["engine"]["config"]["bogus"] = 1
+        with pytest.raises(SnapshotError, match="bogus"):
+            restore_scheduler(state)
+
+    def test_invalid_config_value_rejected(self):
+        _, state = self._mid_run_state()
+        state["engine"]["config"]["speed"] = 0.0
+        with pytest.raises(SnapshotError, match="speed"):
+            restore_scheduler(state)
