@@ -10,9 +10,10 @@
    hot tenant is the one being shed, and every colder tenant's
    acceptance *rate* beats the hot tenant's (DRF serves you better the
    less you dominate);
-4. runs the identical workload a second time and requires the merged,
+4. runs the identical workload a second time, now pipelined through
+   ``submit_batch`` in chunks of 16, and requires the merged,
    canonically-serialized report to match **byte for byte** — the
-   sharded tier's replay-determinism contract.
+   sharded tier's replay-determinism contract, which batching must keep.
 
 Exits non-zero (with a message) on any violation.  Needs only the
 package itself — no pytest.
@@ -36,6 +37,7 @@ from repro.workloads.traces import generate_trace  # noqa: E402
 SEED = 21
 N_JOBS = 120
 N_TENANTS = 3
+BATCH = 16
 
 
 def fail(msg: str) -> None:
@@ -52,7 +54,8 @@ def workload():
     return list(zip(jobs, tenants))
 
 
-def run_once(journal_root: Path) -> tuple[dict, bytes]:
+def run_once(journal_root: Path, batch: int = 1) -> tuple[dict, bytes]:
+    """One run; ``batch`` > 1 submits through ``submit_batch`` chunks."""
     router = build_subprocess_router(
         2,
         journal_root,
@@ -64,13 +67,23 @@ def run_once(journal_root: Path) -> tuple[dict, bytes]:
         snapshot_every=16,
     )
     try:
-        for spec, tenant in workload():
-            router.submit(
-                work=spec.work,
-                span=spec.span,
-                release=spec.release,
-                tenant=tenant,
-            )
+        items = [
+            {
+                "work": spec.work,
+                "span": spec.span,
+                "release": spec.release,
+                "tenant": tenant,
+            }
+            for spec, tenant in workload()
+        ]
+        for lo in range(0, len(items), batch):
+            chunk = items[lo : lo + batch]
+            if batch == 1:
+                router.submit(**chunk[0])
+                continue
+            for reply in router.submit_batch(chunk):
+                if not reply["ok"]:
+                    fail(f"batched submit failed: {reply}")
         healthy = router.ping_all()
         if not all(healthy.values()):
             fail(f"unhealthy shards after load: {healthy}")
@@ -113,13 +126,13 @@ def main() -> None:
                      f"tenant's {hot_rate:.2f} — DRF should serve "
                      "non-dominant tenants strictly better")
 
-        _, blob_b = run_once(Path(tmp) / "run-b")
+        _, blob_b = run_once(Path(tmp) / "run-b", batch=BATCH)
         if blob != blob_b:
-            fail("replay mismatch: two identical sharded runs produced "
-                 "different merged reports")
+            fail("replay mismatch: the batched run and the one-at-a-time "
+                 "run produced different merged reports")
 
     print("OK: no tenant starved, shedding tracked dominance, and the "
-          "sharded replay is byte-identical")
+          "batched sharded replay is byte-identical")
 
 
 if __name__ == "__main__":

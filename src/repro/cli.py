@@ -1189,7 +1189,12 @@ def _serve_shards(args: argparse.Namespace) -> int:
         sup_thread.start()
 
     async def run() -> None:
-        frontend = ShardFrontend(router, host=args.host, port=args.port)
+        frontend = ShardFrontend(
+            router,
+            host=args.host,
+            port=args.port,
+            max_line_bytes=args.max_line_bytes,
+        )
         await frontend.start()
         print(
             f"drep-serve-router listening on {args.host}:{frontend.port} "

@@ -41,12 +41,18 @@ skipping interior entries would desynchronize the replayed trajectory.
 
 Checkpoints are cut automatically every ``snapshot_every`` appended
 entries, bounding both recovery replay and journal size.
+
+Appends made inside :meth:`RequestJournal.group` are flushed (and, with
+``fsync``, synced) once, when the block ends: a server that answers a
+batch of requests with one reply commits their entries with one write,
+still before the reply, so every acknowledged request is in the journal.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 from repro.core.metrics import ScheduleResult
@@ -123,6 +129,7 @@ class RequestJournal:
         self._since_snapshot = _count_entries(self.journal_path)
         self._fh = open(self.journal_path, "a", encoding="utf-8")
         self._history = open(self.history_path, "ab")
+        self._grouped = False
 
     @property
     def seq(self) -> int:
@@ -130,15 +137,39 @@ class RequestJournal:
         return self._seq
 
     def append(self, entry: dict) -> int:
-        """Durably record one resolved request; returns its sequence number."""
+        """Durably record one resolved request; returns its sequence number.
+
+        Inside :meth:`group` the entry is written but committed only when
+        the group ends.
+        """
         self._seq += 1
         record = {"seq": self._seq, **entry}
         self._fh.write(json.dumps(record) + "\n")
+        if not self._grouped:
+            self._commit()
+        self._since_snapshot += 1
+        return self._seq
+
+    @contextmanager
+    def group(self):
+        """Group commit: one flush (and one fsync) for every append inside.
+
+        Snapshot cuts inside the block still follow ``snapshot_every``
+        appended entries.
+        """
+        seq = self._seq
+        self._grouped = True
+        try:
+            yield self
+        finally:
+            self._grouped = False
+            if self._seq != seq:
+                self._commit()
+
+    def _commit(self) -> None:
         self._fh.flush()
         if self.fsync:
             os.fsync(self._fh.fileno())
-        self._since_snapshot += 1
-        return self._seq
 
     def maybe_snapshot(self, scheduler: OnlineScheduler) -> bool:
         """Cut a snapshot if ``snapshot_every`` entries have accumulated."""

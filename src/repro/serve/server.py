@@ -8,6 +8,7 @@ back).  The protocol is documented operation-by-operation in
 
     {"op": "hello"}                          -> server identity & config
     {"op": "submit", "work": 3.5, ...}       -> queue (or shed) one job
+    {"op": "batch", "requests": [...]}       -> several submits, one reply
     {"op": "advance", "to": 120.0}           -> move the sim clock forward
     {"op": "query", "job_id": 7}             -> job status
     {"op": "stats"}                          -> counters + windowed metrics
@@ -29,12 +30,16 @@ Two clock modes:
   released "now".
 
 All engine access is serialized through one asyncio lock — the engine
-itself is the single-machine resource being scheduled.
+itself is the single-machine resource being scheduled.  A ``batch``
+runs its submits in order under one hold of that lock and commits
+their journal entries with one flush; each item is answered exactly as
+the same submit sent alone.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 from dataclasses import dataclass
 
@@ -49,7 +54,17 @@ from repro.serve.online import OnlineScheduler
 from repro.serve.snapshot import snapshot_scheduler_file
 from repro.serve.tenancy import MultiTenantAdmission, TenancyConfig
 
-__all__ = ["ServeConfig", "SchedulerServer"]
+__all__ = [
+    "LineFramer",
+    "SchedulerServer",
+    "ServeConfig",
+    "decode_request",
+    "submit_fields",
+]
+
+#: bytes asked of the stream per read; one read returns whatever is
+#: buffered up to this, so a pipelined burst arrives in one pass
+_READ_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -273,7 +288,7 @@ class SchedulerServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        # closing the writers EOFs each client's readline, so handlers
+        # closing the writers EOFs each client's reader, so handlers
         # drain out on their own — cancelling them instead trips
         # StreamReaderProtocol's noisy done-callback on CPython 3.11
         for writer in self._clients.values():
@@ -303,22 +318,19 @@ class SchedulerServer:
         task = asyncio.current_task()
         if task is not None:
             self._clients[task] = writer
+        framer = LineFramer(reader, self.config.max_line_bytes)
         try:
-            while True:
-                line, early_error = await self._read_line(reader)
-                if line is None and early_error is None:
-                    break  # clean EOF
-                if early_error is not None:
-                    self._bad_lines += 1
-                    response = early_error
-                else:
-                    assert line is not None
-                    response = await self._dispatch_line(line)
-                payload = _encode_response(response)
-                writer.write(payload)
-                await writer.drain()
-                if isinstance(response, dict) and response.get("bye"):
-                    break
+            while lines := await framer.read_lines():
+                for line in lines:
+                    if isinstance(line, dict):  # oversized: already an error
+                        self._bad_lines += 1
+                        response = line
+                    else:
+                        response = await self._dispatch_line(line)
+                    writer.write(_encode_response(response))
+                    await writer.drain()
+                    if response.get("bye"):
+                        return
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
@@ -326,54 +338,10 @@ class SchedulerServer:
                 self._clients.pop(task, None)
             writer.close()
 
-    async def _read_line(
-        self, reader: asyncio.StreamReader
-    ) -> tuple[bytes | None, dict | None]:
-        """One framed line, or a structured error for an oversized one.
-
-        Returns ``(line, None)`` normally, ``(None, error_response)`` for
-        a line longer than ``max_line_bytes`` (after discarding up to the
-        next newline so the stream stays framed), and ``(None, None)``
-        at EOF.  One bad line never costs the connection.
-        """
-        try:
-            return await reader.readuntil(b"\n"), None
-        except asyncio.IncompleteReadError as exc:
-            if exc.partial:
-                return bytes(exc.partial), None  # unterminated final line
-            return None, None
-        except asyncio.LimitOverrunError:
-            discarded = await self._discard_to_newline(reader)
-            return None, {
-                "ok": False,
-                "error": (
-                    f"line too long (> {self.config.max_line_bytes} bytes, "
-                    f"{discarded} discarded)"
-                ),
-            }
-
-    @staticmethod
-    async def _discard_to_newline(reader: asyncio.StreamReader) -> int:
-        """Drop buffered bytes until the next newline (framing resync)."""
-        discarded = 0
-        while True:
-            try:
-                discarded += len(await reader.readuntil(b"\n"))
-                return discarded
-            except asyncio.LimitOverrunError as exc:
-                # the first `consumed` buffered bytes hold no newline —
-                # safe to drop without eating the next request
-                chunk = await reader.readexactly(max(1, exc.consumed))
-                discarded += len(chunk)
-            except asyncio.IncompleteReadError as exc:
-                return discarded + len(exc.partial)
-
     async def _dispatch_line(self, line: bytes) -> dict:
         try:
-            request = json.loads(line)
-            if not isinstance(request, dict):
-                raise ValueError("request must be a JSON object")
-        except (ValueError, UnicodeDecodeError) as exc:
+            request = decode_request(line)
+        except ValueError as exc:
             self._bad_lines += 1
             return {"ok": False, "error": f"bad request: {exc}"}
         req_id = request.get("id")
@@ -444,6 +412,11 @@ class SchedulerServer:
         if self._journal is not None:
             self._journal.maybe_snapshot(self.scheduler)
 
+    def _journal_group(self):
+        if self._journal is None:
+            return contextlib.nullcontext()
+        return self._journal.group()
+
     # -- ops (called with the lock held) -----------------------------------
 
     def _op_hello(self, request: dict) -> dict:
@@ -471,33 +444,8 @@ class SchedulerServer:
         return out
 
     def _op_submit(self, request: dict) -> dict:
-        work = request.get("work")
-        if (
-            not isinstance(work, (int, float))
-            or isinstance(work, bool)
-            or not work > 0
-        ):
-            raise ValueError("submit requires work > 0")
-        span = request.get("span")
-        if span is not None:
-            if not isinstance(span, (int, float)) or isinstance(span, bool):
-                raise ValueError("span must be numeric")
-            span = float(span)
-        mode = request.get("mode", "sequential")
-        ParallelismMode(mode)  # validate before anything is journaled
-        weight = request.get("weight", 1.0)
-        if not isinstance(weight, (int, float)) or isinstance(weight, bool):
-            raise ValueError("weight must be numeric")
-        release = request.get("release")
-        if release is not None and (
-            not isinstance(release, (int, float)) or isinstance(release, bool)
-        ):
-            raise ValueError("release must be numeric")
-        tenant = request.get("tenant")
-        if tenant is not None and (
-            not isinstance(tenant, str) or not tenant
-        ):
-            raise ValueError("tenant must be a non-empty string")
+        fields = submit_fields(request)
+        release = fields["release"]
         if self.config.clock == "wall":
             self.scheduler.advance_to(self._wall_now())
             if release is None:
@@ -507,28 +455,14 @@ class SchedulerServer:
             self.scheduler.advance_to(float(release))
         else:
             release = self.scheduler.now
-        release = float(release)
+        fields["release"] = float(release)
         # write-ahead: the *resolved* request hits the journal before the
         # engine, so a crash between the two replays it on recovery
-        entry = {
-            "op": "submit",
-            "work": float(work),
-            "span": span,
-            "mode": mode,
-            "weight": float(weight),
-            "release": release,
-        }
-        if tenant is not None:
-            entry["tenant"] = tenant
+        entry = {"op": "submit", **fields}
+        if fields["tenant"] is None:
+            del entry["tenant"]
         self._journal_append(entry)
-        outcome = self.scheduler.submit(
-            work=float(work),
-            span=span,
-            mode=mode,
-            weight=float(weight),
-            release=release,
-            tenant=tenant,
-        )
+        outcome = self.scheduler.submit(**fields)
         self._journal_rotate()
         return {
             "ok": True,
@@ -539,11 +473,31 @@ class SchedulerServer:
             "now": self.scheduler.now,
         }
 
+    def _op_batch(self, request: dict) -> dict:
+        items = request.get("requests")
+        if not isinstance(items, list):
+            raise ValueError("batch requires a list of submit 'requests'")
+        with self._journal_group():
+            responses = [self._batch_item(item) for item in items]
+        return {"ok": True, "responses": responses}
+
+    def _batch_item(self, item) -> dict:
+        """One batch item, answered exactly as the same submit sent alone."""
+        if not isinstance(item, dict) or item.get("op") != "submit":
+            return {"ok": False, "error": "a batch item must be a submit"}
+        try:
+            response = self._op_submit(item)
+        except Exception as exc:  # noqa: BLE001 — one item, one error
+            response = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+        if item.get("id") is not None:
+            response["id"] = item["id"]
+        return response
+
     def _op_advance(self, request: dict) -> dict:
         if self.config.clock == "wall":
             raise ValueError("advance is only valid with the trace clock")
         to = request.get("to")
-        if not isinstance(to, (int, float)) or isinstance(to, bool):
+        if not _is_number(to):
             raise ValueError("advance requires a numeric 'to'")
         self._journal_append({"op": "advance", "to": float(to)})
         self.scheduler.advance_to(float(to))
@@ -646,6 +600,130 @@ class SchedulerServer:
             lambda: asyncio.ensure_future(self.stop())
         )
         return {"ok": True, "bye": True}
+
+
+def decode_request(line: bytes) -> dict:
+    """Parse one request line; ``ValueError`` unless it is a JSON object."""
+    request = json.loads(line)
+    if not isinstance(request, dict):
+        raise ValueError("request must be a JSON object")
+    return request
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def submit_fields(request: dict) -> dict:
+    """Checked, normalised fields of a ``submit`` request.
+
+    Returns ``work``, ``span``, ``mode``, ``weight``, ``release`` and
+    ``tenant``; ``release`` stays ``None`` when the request has none,
+    for the caller to resolve against its own clock.  Raises
+    ``ValueError`` before anything is journaled or admitted — the server
+    and the shard router both check with this one function.
+    """
+    work = request.get("work")
+    if not _is_number(work) or not work > 0:
+        raise ValueError("submit requires work > 0")
+    span = request.get("span")
+    if span is not None:
+        if not _is_number(span):
+            raise ValueError("span must be numeric")
+        span = float(span)
+    mode = request.get("mode", "sequential")
+    ParallelismMode(mode)
+    weight = request.get("weight", 1.0)
+    if not _is_number(weight):
+        raise ValueError("weight must be numeric")
+    release = request.get("release")
+    if release is not None:
+        if not _is_number(release):
+            raise ValueError("release must be numeric")
+        release = float(release)
+    tenant = request.get("tenant")
+    if tenant is not None and (not isinstance(tenant, str) or not tenant):
+        raise ValueError("tenant must be a non-empty string")
+    return {
+        "work": float(work),
+        "span": span,
+        "mode": mode,
+        "weight": float(weight),
+        "release": release,
+        "tenant": tenant,
+    }
+
+
+class LineFramer:
+    """Splits a connection's bytes into request lines, one read at a time.
+
+    :meth:`read_lines` returns every complete line the read brought in,
+    so a listener that wakes up behind a pipelining client sees the
+    whole burst at once.  A line longer than ``max_line_bytes`` (newline
+    excluded) comes back, in its own slot, as a structured error; its
+    bytes are dropped up to the next newline, so the stream stays framed
+    and one bad line never costs the connection.  Between reads it keeps
+    at most one partial line of at most ``max_line_bytes``.
+    """
+
+    def __init__(
+        self, reader: asyncio.StreamReader, max_line_bytes: int
+    ) -> None:
+        self._reader = reader
+        self._max = max_line_bytes
+        self._partial = b""  # an unterminated line, at most max_line_bytes
+        self._skipped: int | None = None  # bytes of an oversized line dropped
+        self._eof = False
+
+    async def read_lines(self) -> list[bytes | dict]:
+        """The next lines (without their newline), oldest first.
+
+        Each entry is a line's bytes or, for an oversized line, the error
+        response that answers it.  An unterminated last line is returned
+        at EOF; after that the result is empty.
+        """
+        while not self._eof:
+            data = await self._reader.read(_READ_CHUNK)
+            if not data:
+                self._eof = True
+                return self._tail()
+            lines = self._split(self._partial + data)
+            if lines:
+                return lines
+        return []
+
+    def _split(self, data: bytes) -> list[bytes | dict]:
+        *complete, partial = data.split(b"\n")
+        lines: list[bytes | dict] = []
+        for line in complete:
+            if self._skipped is not None:
+                lines.append(self._too_long(self._skipped + len(line) + 1))
+                self._skipped = None
+            elif len(line) > self._max:
+                lines.append(self._too_long(len(line) + 1))
+            else:
+                lines.append(line)
+        self._partial = b""
+        if self._skipped is not None:
+            self._skipped += len(partial)
+        elif len(partial) > self._max:
+            self._skipped = len(partial)
+        else:
+            self._partial = partial
+        return lines
+
+    def _tail(self) -> list[bytes | dict]:
+        if self._skipped is not None:
+            return [self._too_long(self._skipped)]
+        return [self._partial] if self._partial else []
+
+    def _too_long(self, discarded: int) -> dict:
+        return {
+            "ok": False,
+            "error": (
+                f"line too long (> {self._max} bytes, {discarded} discarded)"
+            ),
+        }
 
 
 def _jsonable(v) -> bool:

@@ -61,7 +61,13 @@ import numpy as np
 from repro.core.rng import derive_seed
 from repro.serve.loadgen import retry_delay
 from repro.serve.admission import AdmissionConfig, AdmissionDecision
-from repro.serve.server import SchedulerServer, ServeConfig
+from repro.serve.server import (
+    LineFramer,
+    SchedulerServer,
+    ServeConfig,
+    decode_request,
+    submit_fields,
+)
 from repro.serve.tenancy import DEFAULT_TENANT, MultiTenantAdmission, TenancyConfig
 
 __all__ = [
@@ -82,6 +88,19 @@ _PORT_RE = re.compile(r"listening on [\d.]+:(\d+)")
 
 class ShardError(RuntimeError):
     """A shard failed to start, respond, or recover."""
+
+
+class _LineTooLong(ShardError):
+    """A request would exceed the shard's ``max_line_bytes``; not sent."""
+
+
+def _check_line(shard, line: bytes) -> None:
+    """Refuse a request line the shard would reject as too long."""
+    if len(line) - 1 > shard.config.max_line_bytes:
+        raise _LineTooLong(
+            f"request of {len(line) - 1} bytes exceeds {shard.name}'s "
+            f"max_line_bytes ({shard.config.max_line_bytes})"
+        )
 
 
 def shard_seed(seed: int, index: int) -> int:
@@ -166,6 +185,8 @@ class LocalShard:
         return self._server.scheduler
 
     def call(self, request: dict) -> dict:
+        # the same line cap a subprocess shard enforces on the wire
+        _check_line(self, json.dumps(request).encode() + b"\n")
         op = request.get("op")
         handler = getattr(self._server, f"_op_{op}", None)
         if handler is None or op in ("shutdown",):
@@ -263,6 +284,7 @@ class SubprocessShard:
             "--speed", str(cfg.speed),
             "--journal-dir", str(cfg.journal_dir),
             "--snapshot-every", str(cfg.snapshot_every),
+            "--max-line-bytes", str(cfg.max_line_bytes),
         ]
         if cfg.fsync:
             argv.append("--fsync")
@@ -310,10 +332,12 @@ class SubprocessShard:
         self._rfile = self._sock.makefile("rb")
 
     def call(self, request: dict) -> dict:
+        line = json.dumps(request).encode() + b"\n"
+        _check_line(self, line)
         with self._wire_lock:
             if self._sock is None:
                 raise ShardError(f"shard {self.name} is not connected")
-            self._sock.sendall(json.dumps(request).encode() + b"\n")
+            self._sock.sendall(line)
             line = self._rfile.readline()
             if not line:
                 raise ShardError(f"shard {self.name} closed the connection")
@@ -524,55 +548,151 @@ class ShardRouter:
         land on one shard — cache affinity and per-tenant ordering), but
         an explicit ``key`` spreads a tenant over the ring.  Returns the
         shard's submit response extended with ``shard`` and ``tenant``.
+        An invalid request raises ``ValueError`` before admission sees
+        it; a shard that refuses the job raises :class:`ShardError`.
+        This is the one-item case of :meth:`submit_batch`.
         """
-        label = tenant if tenant is not None else DEFAULT_TENANT
-        if release is None:
-            release = self._now
-        release = float(release)
-        self._now = max(self._now, release)
-        if self.admission is not None:
-            self.admission.observe(release, work)
-            decision = self.admission.decide_tenant(
-                t=release,
-                tenant=label,
-                work=float(work),
-                active=self._active_view,
-                backlog_work=self._backlog_view,
-            )
-            if decision is not AdmissionDecision.ACCEPT:
-                self._log.append((label, None, None))
-                return {
-                    "ok": True,
-                    "accepted": False,
-                    "job_id": None,
-                    "decision": decision.value,
-                    "shard": None,
-                    "tenant": label,
+        (outcome,) = self._route(
+            [
+                {
+                    "work": work,
+                    "span": span,
+                    "mode": mode,
+                    "weight": weight,
+                    "release": release,
+                    "tenant": tenant,
+                    "key": key,
                 }
-        shard_name = self.ring.route(key if key is not None else label)
-        resp = self.shards[shard_name].call(
-            {
+            ]
+        )
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    def submit_batch(self, items: list[dict]) -> list[dict]:
+        """Offer several jobs with one round trip per shard.
+
+        Each item carries :meth:`submit`'s keyword arguments (a wire
+        ``submit`` request will do; other keys are ignored).  Admission,
+        routing, the routing log and ``global_id`` follow submission
+        order, so the jobs end up exactly where one :meth:`submit` per
+        item would put them.  Returns one reply per item, in order: what
+        :meth:`submit` returns, or ``{"ok": false, "error": ...}`` where it
+        would raise.
+
+        A failed item leaves no log entry and no occupancy bump, but the
+        admission decisions made for the items after it stand — they were
+        taken on the view that counted it.  Invalid requests fail before
+        admission, so only a transport failure (which fails every item
+        sent to that shard, whether or not the shard applied them), an
+        internal error or a release behind the shard's clock can fail an
+        admitted item.
+        """
+        return [
+            {"ok": False, "error": f"{type(o).__name__}: {o}"}
+            if isinstance(o, Exception)
+            else o
+            for o in self._route(items)
+        ]
+
+    def _route(self, items: list[dict]) -> list:
+        """Admit, forward and log ``items``; an outcome (reply or the
+        exception that failed it) per item."""
+        outcomes: list = [None] * len(items)
+        requests: list[dict | None] = [None] * len(items)
+        groups: dict[str, list[int]] = {}
+        active, backlog = self._active_view, self._backlog_view
+        for i, item in enumerate(items):
+            try:
+                fields = submit_fields(item)
+                label = fields["tenant"] or DEFAULT_TENANT
+                release = fields["release"]
+                if release is None:
+                    release = self._now
+                self._now = max(self._now, release)
+                work = fields["work"]
+                if self.admission is not None:
+                    self.admission.observe(release, work)
+                    decision = self.admission.decide_tenant(
+                        t=release,
+                        tenant=label,
+                        work=work,
+                        active=self._active_view,
+                        backlog_work=self._backlog_view,
+                    )
+                    if decision is not AdmissionDecision.ACCEPT:
+                        outcomes[i] = {
+                            "ok": True,
+                            "accepted": False,
+                            "job_id": None,
+                            "decision": decision.value,
+                            "shard": None,
+                            "tenant": label,
+                        }
+                        continue
+                key = item.get("key")
+                name = self.ring.route(key if key is not None else label)
+            except Exception as exc:  # noqa: BLE001 — one item, one error
+                outcomes[i] = exc
+                continue
+            requests[i] = {
                 "op": "submit",
-                "work": float(work),
-                "span": span,
-                "mode": mode,
-                "weight": float(weight),
+                **fields,
                 "release": release,
                 "tenant": label,
             }
-        )
-        if not resp.get("ok") or not resp.get("accepted"):
-            # shards run admission-free, so this is an error, not a shed
-            raise ShardError(
-                f"shard {shard_name} refused a routed job: {resp}"
+            groups.setdefault(name, []).append(i)
+            # bumped at once: the next item's decision sees this one
+            self._active_view += 1
+            self._backlog_view += work
+        for name, idx in groups.items():
+            try:
+                replies = self._forward(
+                    self.shards[name], [requests[i] for i in idx]
+                )
+            except Exception as exc:  # noqa: BLE001 — fate unknown: all fail
+                replies = [exc] * len(idx)
+            for i, resp in zip(idx, replies):
+                if isinstance(resp, Exception):
+                    pass
+                elif not (resp.get("ok") and resp.get("accepted")):
+                    # shards run admission-free: an error, not a shed
+                    resp = ShardError(
+                        f"shard {name} refused a routed job: {resp}"
+                    )
+                else:
+                    resp["shard"] = name
+                    resp["tenant"] = requests[i]["tenant"]
+                outcomes[i] = resp
+        # the log, global ids and the occupancy view in submission order,
+        # counting only the jobs a shard took
+        for i, outcome in enumerate(outcomes):
+            if isinstance(outcome, Exception):
+                continue
+            shard = outcome["shard"]  # None: shed
+            self._log.append((outcome["tenant"], shard, outcome["job_id"]))
+            if shard is not None:
+                outcome["global_id"] = len(self._log) - 1
+                active += 1
+                backlog += requests[i]["work"]
+        self._active_view, self._backlog_view = active, backlog
+        return outcomes
+
+    def _forward(self, shard, requests: list[dict]) -> list:
+        """One round trip carrying ``requests``, halved while too long."""
+        if len(requests) == 1:
+            return [shard.call(requests[0])]
+        try:
+            resp = shard.call({"op": "batch", "requests": requests})
+        except _LineTooLong:
+            half = len(requests) // 2
+            return self._forward(shard, requests[:half]) + self._forward(
+                shard, requests[half:]
             )
-        self._log.append((label, shard_name, int(resp["job_id"])))
-        self._active_view += 1
-        self._backlog_view += float(work)
-        resp["shard"] = shard_name
-        resp["tenant"] = label
-        resp["global_id"] = len(self._log) - 1
-        return resp
+        replies = resp.get("responses")
+        if not resp.get("ok") or len(replies) != len(requests):
+            raise ShardError(f"shard {shard.name} batch failed: {resp}")
+        return replies
 
     def advance_to(self, t: float) -> None:
         """Advance every shard's clock to ``t`` and refresh occupancy."""
@@ -834,18 +954,32 @@ class ShardFrontend:
     """Asyncio JSON-lines listener in front of a :class:`ShardRouter`.
 
     Speaks the same framing as :class:`~repro.serve.server.SchedulerServer`
-    with the router-level op set: ``hello``, ``submit`` (with ``tenant``
-    and optional ``key``), ``advance``, ``stats``, ``tenants``, ``ping``,
-    ``drain`` (the merged report) and ``shutdown``.  Router calls block
-    briefly on shard sockets; requests are serialized, which is also
-    what keeps the routing log deterministic.
+    (:class:`~repro.serve.server.LineFramer`, the same ``max_line_bytes``
+    cap) with the router-level op set: ``hello``, ``submit`` (with
+    ``tenant`` and optional ``key``), ``advance``, ``stats``, ``tenants``,
+    ``ping``, ``drain`` (the merged report) and ``shutdown``.  Router
+    calls block briefly on shard sockets; requests are serialized, which
+    is also what keeps the routing log deterministic.
+
+    Each read is answered as one pass, in request order and with one
+    write: a run of consecutive submits goes to
+    :meth:`ShardRouter.submit_batch` (one round trip per shard), and any
+    other line first completes the pending run.  A read holding a single
+    request takes the one-request path, :meth:`_dispatch`.
     """
 
     def __init__(
-        self, router: ShardRouter, host: str = "127.0.0.1", port: int = 0
+        self,
+        router: ShardRouter,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        max_line_bytes: int = ServeConfig.max_line_bytes,
     ) -> None:
+        if max_line_bytes < 64:
+            raise ValueError("max_line_bytes must be >= 64")
         self.router = router
         self.host = host
+        self.max_line_bytes = max_line_bytes
         self._requested_port = port
         self._server = None
         self._stopped = None
@@ -860,7 +994,10 @@ class ShardFrontend:
 
         self._stopped = asyncio.Event()
         self._server = await asyncio.start_server(
-            self._handle, self.host, self._requested_port
+            self._handle,
+            self.host,
+            self._requested_port,
+            limit=self.max_line_bytes,
         )
 
     async def wait_closed(self) -> None:
@@ -877,15 +1014,15 @@ class ShardFrontend:
             self._stopped.set()
 
     async def _handle(self, reader, writer) -> None:
+        framer = LineFramer(reader, self.max_line_bytes)
         try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                response = self._dispatch(line)
-                writer.write(json.dumps(response).encode() + b"\n")
+            while lines := await framer.read_lines():
+                replies = self._answer(lines)
+                writer.write(
+                    b"".join(json.dumps(r).encode() + b"\n" for r in replies)
+                )
                 await writer.drain()
-                if response.get("bye"):
+                if replies[-1].get("bye"):
                     import asyncio
 
                     asyncio.get_running_loop().call_soon(
@@ -897,13 +1034,39 @@ class ShardFrontend:
         finally:
             writer.close()
 
+    def _answer(self, lines: list) -> list[dict]:
+        """Replies to one pass of framed lines, in request order; a
+        ``shutdown`` ends the pass."""
+        if len(lines) == 1 and isinstance(lines[0], bytes):
+            return [self._dispatch(lines[0])]
+        replies: list[dict] = []
+        run: list[dict] = []
+        for line in lines:
+            request, reply = _decode(line)
+            if request is not None and request.get("op") == "submit":
+                run.append(request)
+                continue
+            replies += self._submit_run(run)
+            run = []
+            replies.append(reply or self._respond(request))
+            if replies[-1].get("bye"):
+                return replies
+        return replies + self._submit_run(run)
+
+    def _submit_run(self, run: list[dict]) -> list[dict]:
+        if not run:
+            return []
+        replies = self.router.submit_batch(run)
+        for request, reply in zip(run, replies):
+            if request.get("id") is not None:
+                reply["id"] = request["id"]
+        return replies
+
     def _dispatch(self, line: bytes) -> dict:
-        try:
-            request = json.loads(line)
-            if not isinstance(request, dict):
-                raise ValueError("request must be a JSON object")
-        except (ValueError, UnicodeDecodeError) as exc:
-            return {"ok": False, "error": f"bad request: {exc}"}
+        request, reply = _decode(line)
+        return reply or self._respond(request)
+
+    def _respond(self, request: dict) -> dict:
         req_id = request.get("id")
         try:
             response = self._apply(request)
@@ -931,10 +1094,10 @@ class ShardFrontend:
             }
         if op == "submit":
             return router.submit(
-                work=float(request["work"]),
+                work=request.get("work"),
                 span=request.get("span"),
                 mode=request.get("mode", "sequential"),
-                weight=float(request.get("weight", 1.0)),
+                weight=request.get("weight", 1.0),
                 release=request.get("release"),
                 tenant=request.get("tenant"),
                 key=request.get("key"),
@@ -965,6 +1128,17 @@ class ShardFrontend:
         if op == "shutdown":
             return {"ok": True, "bye": True}
         return {"ok": False, "error": f"unknown op {op!r}"}
+
+
+def _decode(line: bytes | dict) -> tuple[dict | None, dict | None]:
+    """``(request, None)``, or ``(None, error reply)`` for a line that is
+    oversized (the framer's error) or not a JSON object."""
+    if isinstance(line, dict):
+        return None, line
+    try:
+        return decode_request(line), None
+    except ValueError as exc:
+        return None, {"ok": False, "error": f"bad request: {exc}"}
 
 
 def build_local_router(

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 
 import numpy as np
 import pytest
 
 from repro.flowsim import simulate
 from repro.flowsim.policies import DrepSequential
+from repro.serve.journal import read_journal
 from repro.serve.server import SchedulerServer, ServeConfig
 from repro.serve.snapshot import SNAPSHOT_VERSION
 from repro.workloads.traces import generate_trace
@@ -168,6 +170,64 @@ class TestErrors:
             assert (await client.call(op="ping"))["ok"]
 
         asyncio.run(with_server(trace_config(), scenario))
+
+
+class TestBatchOp:
+    GOOD_A = {"op": "submit", "work": 2.0, "release": 1.0, "id": "a"}
+    BAD_WORK = {"op": "submit", "work": -1.0, "id": "bad"}
+    NOT_SUBMIT = {"op": "advance", "to": 5.0}
+    GOOD_B = {"op": "submit", "work": 3.0, "release": 4.0, "tenant": "t"}
+
+    def test_items_fail_alone_and_match_lone_submits(self, tmp_path):
+        items = [self.GOOD_A, self.BAD_WORK, self.NOT_SUBMIT, self.GOOD_B]
+
+        async def batched(client, server):
+            return await client.call(op="batch", requests=items)
+
+        async def alone(client, server):
+            return [
+                await client.call(**item)
+                for item in (self.GOOD_A, self.BAD_WORK, self.GOOD_B)
+            ]
+
+        def run(scenario, name):
+            config = trace_config(journal_dir=str(tmp_path / name))
+            return asyncio.run(with_server(config, scenario))
+
+        resp = run(batched, "b")
+        lone = run(alone, "l")
+        assert resp["ok"]
+        got = resp["responses"]
+        assert [got[0], got[1], got[3]] == lone
+        assert got[0]["accepted"] and got[3]["accepted"]
+        assert got[1] == {
+            "ok": False,
+            "error": "ValueError: submit requires work > 0",
+            "id": "bad",
+        }
+        assert got[2]["error"] == "a batch item must be a submit"
+        journal = read_journal(tmp_path / "b")
+        assert [e["work"] for e in journal] == [2.0, 3.0]
+        assert journal == read_journal(tmp_path / "l")
+
+    def test_one_fsync_per_batch(self, tmp_path, monkeypatch):
+        server = SchedulerServer(
+            trace_config(
+                journal_dir=str(tmp_path), fsync=True, snapshot_every=0
+            )
+        )
+        synced = []
+        monkeypatch.setattr(os, "fsync", synced.append)
+        submits = [{"op": "submit", "work": 1.0 + i} for i in range(5)]
+        resp = server._op_batch({"op": "batch", "requests": submits})
+        assert all(r["accepted"] for r in resp["responses"])
+        assert len(synced) == 1
+        server._op_batch({"op": "batch", "requests": [self.BAD_WORK]})
+        assert len(synced) == 1  # nothing journaled, nothing to sync
+        server._op_submit({"op": "submit", "work": 1.0})
+        assert len(synced) == 2
+        server._journal.close()
+        assert len(read_journal(tmp_path)) == 6
 
 
 class TestLifecycle:

@@ -219,6 +219,61 @@ def test_router_rejects_clock_rewind_and_empty_fleet():
             router.advance_to(1.0)
 
 
+def test_router_checks_a_submit_before_admission():
+    """An invalid submit must not reach admission: no tenant slot taken,
+    no credit spent, no load observed."""
+    bad = [{"work": -5.0}, {"work": 0}, {"work": 1.0, "mode": "bogus"}]
+    with build_local_router(
+        2, m=2, policy="srpt", seed=1, tenancy=TenancyConfig(credit_rate=0.5)
+    ) as router:
+        admission = router.admission
+        before = (admission.tenant_stats(1.0), admission.load_estimate(1.0))
+        for fields in bad:
+            with pytest.raises(ValueError):
+                router.submit(tenant="a", release=1.0, **fields)
+        replies = router.submit_batch(
+            [{**fields, "tenant": "a", "release": 1.0} for fields in bad]
+        )
+        assert all(r["error"].startswith("ValueError: ") for r in replies)
+        assert router.n_offered == 0
+        after = (admission.tenant_stats(1.0), admission.load_estimate(1.0))
+        assert after == before
+
+
+def test_dead_shard_fails_only_its_own_batch():
+    """Items routed to a shard whose round trip fails get its error; the
+    rest of the batch stands, logged in submission order."""
+    from repro.serve.shard import ShardError
+
+    with build_local_router(2, m=2, policy="srpt", seed=4) as router:
+        owner = {t: router.ring.route(t) for t in ("t0", "t1", "t2", "t3")}
+        dead = "shard/1"
+        assert set(owner.values()) == {"shard/0", dead}
+
+        def closed(request):
+            raise ShardError(f"shard {dead} closed the connection")
+
+        router.shards[dead].call = closed
+        replies = router.submit_batch(
+            [{"work": 1.0, "tenant": t} for t in owner]
+        )
+        for tenant, reply in zip(owner, replies):
+            if owner[tenant] == dead:
+                assert reply == {
+                    "ok": False,
+                    "error": f"ShardError: shard {dead} closed the connection",
+                }
+            else:
+                assert reply["accepted"] and reply["shard"] == "shard/0"
+        alive = [r for r in replies if r["ok"]]
+        assert [r["global_id"] for r in alive] == list(range(len(alive)))
+        assert router.n_offered == len(alive)
+        assert router._active_view == len(alive)
+        dead_tenant = next(t for t in owner if owner[t] == dead)
+        with pytest.raises(ShardError, match="closed the connection"):
+            router.submit(work=1.0, tenant=dead_tenant)
+
+
 def test_report_json_requires_a_drained_router():
     from repro.serve.shard import ShardError
 

@@ -29,9 +29,13 @@ def _workload():
     return list(zip(jobs, tenants))
 
 
-def _run(journal_root, crash: bool) -> bytes:
+def _run(journal_root, crash: bool, batch: int = 1) -> bytes:
+    """Submit the workload, ``batch`` jobs per router call (1 = one
+    :meth:`submit` each, more = :meth:`submit_batch`), optionally killing
+    and restarting the victim shard between calls at the halfway mark."""
     workload = _workload()
     half = len(workload) // 2
+    assert half % batch == 0  # the crash falls between two calls
     router = build_subprocess_router(
         2,
         journal_root,
@@ -43,23 +47,30 @@ def _run(journal_root, crash: bool) -> bytes:
     )
     routed_to: set[str] = set()
     try:
-        for i, (spec, tenant) in enumerate(workload):
-            if crash and i == half:
+        for lo in range(0, len(workload), batch):
+            if crash and lo == half:
                 victim = router.shards[VICTIM]
                 victim.kill()
                 assert router.ping_all()[VICTIM] is False
                 hello = victim.restart()
                 assert hello["ok"]
                 assert router.ping_all()[VICTIM] is True
-            resp = router.submit(
-                work=spec.work,
-                span=spec.span,
-                release=spec.release,
-                tenant=tenant,
-            )
-            assert resp["accepted"]
-            if i < half:
-                routed_to.add(resp["shard"])
+            items = [
+                {
+                    "work": spec.work,
+                    "span": spec.span,
+                    "release": spec.release,
+                    "tenant": tenant,
+                }
+                for spec, tenant in workload[lo : lo + batch]
+            ]
+            if batch == 1:
+                replies = [router.submit(**items[0])]
+            else:
+                replies = router.submit_batch(items)
+            assert all(r["accepted"] for r in replies)
+            if lo < half:
+                routed_to.update(r["shard"] for r in replies)
         # the victim must have taken jobs *before* the kill for the
         # crash to prove anything about journal recovery
         assert routed_to == {"shard/0", VICTIM}
@@ -72,5 +83,13 @@ def _run(journal_root, crash: bool) -> bytes:
 
 def test_sigkill_one_shard_recovers_bit_exact(tmp_path):
     crashed = _run(tmp_path / "crashed", crash=True)
+    clean = _run(tmp_path / "clean", crash=False)
+    assert crashed == clean
+
+
+def test_sigkill_between_batches_recovers_bit_exact(tmp_path):
+    """Batched submits journal with one group commit per shard batch; a
+    shard killed between batches replays to the one-at-a-time run."""
+    crashed = _run(tmp_path / "crashed", crash=True, batch=5)
     clean = _run(tmp_path / "clean", crash=False)
     assert crashed == clean
