@@ -2,8 +2,8 @@
 """CI gate for the incremental kernels' asymptotics (`make scaling-smoke`).
 
 Runs the adversarial staircase ladder 10² → 10⁴ on the incremental
-order/calendar kernels for every order-driven policy and fits the
-scaling exponent of wall-per-event vs active-set size (see
+order/calendar kernels for every order-driven policy (and on the dense
+kernel for RR and DREP) and fits the scaling exponent of wall-per-event vs active-set size (see
 `repro.perf.scaling`).  The exponent — unlike raw wall time — is
 machine-drift-free, which is what makes it gateable on shared CI
 runners.
@@ -21,6 +21,11 @@ Thresholds:
   factor), not the exponent; 0.85 catches a regression to dense-like
   behavior without pretending the floor away (docs/performance.md has
   the full table).
+* RR / DREP: exponent must stay **below 0.5**.  Neither is ever
+  promoted, so this gates the hand-over from the scalar small-active-set
+  backend to the numpy buffers instead: with it the dense vector ops
+  keep the slope near 0 on this ladder, while a scalar pass that never
+  hands over pays Python-level O(n) per event and fits ≈0.7–0.9.
 
 Exits non-zero on the first violated bound.  Needs only the package —
 no pytest.
@@ -37,11 +42,11 @@ sys.path.insert(0, str(REPO / "src"))
 from repro.perf.scaling import measure_scaling  # noqa: E402
 
 LADDER = (100, 1_000, 10_000)
-BOUNDS = {"srpt": 0.5, "sjf": 0.5, "fifo": 0.5, "laps": 0.85}
+BOUNDS = {"srpt": 0.5, "sjf": 0.5, "fifo": 0.5, "laps": 0.85, "rr": 0.5, "drep": 0.5}
 
 
 def main() -> int:
-    print(f"# scaling smoke — staircase ladder {LADDER}, incremental kernels")
+    print(f"# scaling smoke — staircase ladder {LADDER}")
     results = measure_scaling(LADDER, tuple(BOUNDS), repeats=2)
     status = 0
     for key, bound in BOUNDS.items():
@@ -60,8 +65,9 @@ def main() -> int:
     if status:
         print(
             "scaling smoke: fitted exponent at or above its bound — the "
-            "incremental kernels have regressed toward per-event costs "
-            "linear in the active-set size",
+            "incremental kernels (or, for RR/DREP, the scalar backend's "
+            "hand-over) have regressed toward per-event costs linear in "
+            "the active-set size",
             file=sys.stderr,
         )
     return status

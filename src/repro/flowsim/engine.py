@@ -39,7 +39,12 @@ on a materialized :class:`~repro.flowsim.policies.base.ActiveView` for
 policies without it, or the incremental order structures of
 :mod:`repro.flowsim.order`), how the next completion is found (a scan or a
 calendar), and whether one call folds a whole run of events or handles
-one.  Policies declaring
+one.  Plain runs with a small active set run the same iterations on
+Python lists instead (:meth:`FlowStepper._run_scalar`, fed by
+:meth:`~repro.flowsim.policies.base.Policy.rates_scalar`), where numpy's
+per-call overhead would dominate arrays of a few elements; a pass
+switches between the two representations as the set grows and shrinks
+past :data:`SCALAR_MAX_ACTIVE`.  Policies declaring
 :attr:`~repro.flowsim.policies.base.Policy.rates_stable` have their rate
 vector reused until the composition of the active set changes.
 ``ScheduleResult.extra["perf"]`` reports what the caches did
@@ -50,6 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from operator import le, truediv
 
 import numpy as np
 
@@ -59,7 +65,7 @@ from repro.core.rng import RngFactory
 from repro.dag.profile import ParallelismProfile
 from repro.flowsim.order import CompletionCalendar, OrderIndex, sparse_sum
 from repro.flowsim.policies.base import ActiveView, Policy
-from repro.flowsim.rates import equal_split
+from repro.flowsim.rates import dense_sum, equal_split
 from repro.perf.counters import PerfCounters
 from repro.workloads.traces import Trace
 
@@ -69,12 +75,19 @@ __all__ = [
     "simulate",
     "FlowSimError",
     "default_max_events",
+    "SCALAR_MAX_ACTIVE",
 ]
 
 _RATE_TOL = 1e-7
 _INF = float("inf")
 #: relative clock tolerance used when admitting arrivals that are "due now"
 _ADMIT_TOL = 1e-15
+
+#: Largest active set the scalar backend (:meth:`FlowStepper._run_scalar`)
+#: serves; a pass on the numpy buffers hands back at half of it.  Chosen
+#: from the per-event crossover table in docs/performance.md ("Scalar
+#: backend for small active sets").
+SCALAR_MAX_ACTIVE = 48
 
 
 class FlowSimError(RuntimeError):
@@ -330,6 +343,9 @@ class FlowStepper:
         self._completed = 0
         self._busy_time = 0.0
         self._events = 0
+        # iterations that ended parked at the caller's horizon: they count
+        # as events but not against the Zeno budget (see _run)
+        self._parked = 0
         self._segments: list[tuple[float, float, dict[int, float]]] = []
         #: append-only ``(job_id, finish_time)`` log for observers
         self._completions: list[tuple[int, float]] = []
@@ -433,6 +449,38 @@ class FlowStepper:
             and not self._has_timer
             and not self._record_segments
         )
+        # the scalar backend serves plain runs of a policy whose scalar
+        # hooks are the twins of the array hooks it would otherwise call:
+        # defined by the same class, with a scalar patch exactly when
+        # there is an array patch (a subclass overriding only the array
+        # hook keeps the numpy path)
+        scalar_patch = ptype.rates_scalar_patch is not Policy.rates_scalar_patch
+        self._scalar_ok = (
+            self._plain
+            and self._rates_array_fn is not None
+            and not self._has_timer
+            and not self._record_segments
+            and not hasattr(self.policy, "set_weights")
+            and ptype.rates_scalar is not Policy.rates_scalar
+            and _owner(ptype, "rates_scalar") is _owner(ptype, "rates_array")
+            and scalar_patch == (self._rates_patch_fn is not None)
+            and (
+                not scalar_patch
+                or _owner(ptype, "rates_scalar_patch")
+                is _owner(ptype, "rates_array_patch")
+            )
+        )
+        self._rates_scalar_fn = (
+            self.policy.rates_scalar if self._scalar_ok else None
+        )
+        self._scalar_patch_fn = (
+            self.policy.rates_scalar_patch
+            if self._scalar_ok and scalar_patch
+            else None
+        )
+        # which representation the last pass ended on (the hysteresis
+        # state of _run's choice)
+        self._scalar = True
         # incremental order/calendar structures: policies declaring an
         # OrderSpec get their priority order maintained across events
         # instead of re-lexsorted per rate rebuild.  Profiles move caps
@@ -820,6 +868,27 @@ class FlowStepper:
             )
         return np.clip(rates, 0.0, None)
 
+    def _check_rates_scalar(
+        self, rates: list[float], caps: list[float], m: int
+    ) -> list[float]:
+        """:meth:`_check_rates` on lists: the same checks in the same
+        order, the total by :func:`dense_sum`; returns the rates clipped at
+        zero as ``np.clip`` clips them."""
+        name = self.policy.name
+        for r in rates:
+            if r < -_RATE_TOL:
+                raise FlowSimError(f"{name}: negative rate")
+        grow = 1 + _RATE_TOL
+        for r, c in zip(rates, caps):
+            if r > c * grow + _RATE_TOL:
+                raise FlowSimError(f"{name}: rate exceeds per-job cap")
+        total = dense_sum(rates)
+        if total > m * (1 + _RATE_TOL) + _RATE_TOL:
+            raise FlowSimError(
+                f"{name}: total rate {total:.6g} exceeds m={m}"
+            )
+        return [0.0 if r <= 0.0 else r for r in rates]
+
     def _remove_active(self, pos: int, na: int) -> None:
         """Drop the job at buffer position ``pos`` of the first ``na``,
         compacting left; the caller owns the count (and the rate cache)."""
@@ -985,7 +1054,21 @@ class FlowStepper:
         runs on the vectorized hook without timers or segment recording
         (``_fold_dense``); never under a fault plan.
 
-        What differs between runs is data inside the loop, chosen by
+        The iterations run on one of two representations of the active
+        set, and one pass may switch between them at any iteration:
+
+        * :meth:`_run_scalar` keeps it in Python lists and computes each
+          event on Python floats through :meth:`Policy.rates_scalar`.  It
+          serves plain runs (no fault plan, profiles, segment recording,
+          timer or ``set_weights``) of a policy with that hook while at
+          most :data:`SCALAR_MAX_ACTIVE` jobs are active: below that size
+          numpy's per-call overhead dominates every array operation;
+        * :meth:`_run_array` works on the numpy buffers and covers every
+          run.  A pass on it hands back to the lists once the active set
+          has shrunk to half the threshold (the hysteresis keeps a run
+          hovering at the threshold from converting on every event).
+
+        What differs between runs is data inside the loops, chosen by
         what the loop can observe:
 
         * rates come from the cached vector (patched in place through
@@ -1001,11 +1084,18 @@ class FlowStepper:
 
         Every choice is bit-for-bit equal to the others (the golden and
         equivalence suites pin it), so they change the cost of a run,
-        never its trajectory or RNG draws.  Completions are removed
-        lowest job id first and each completion hook sees the active set
-        *after* its own removal — the paper's semantics, where a freed
-        DREP processor re-draws from the jobs still alive.  Hot state
-        lives in locals for the pass and is flushed back in ``finally``.
+        never its trajectory, RNG draws or :class:`PerfCounters`.
+        Completions are removed lowest job id first and each completion
+        hook sees the active set *after* its own removal — the paper's
+        semantics, where a freed DREP processor re-draws from the jobs
+        still alive.  Hot state lives in locals for the pass and is
+        flushed back in ``finally``.
+
+        The event budget guards against Zeno loops, so an iteration that
+        ends with the clock parked at the caller's horizon does not count
+        against it (``events`` still counts it): a live server's clock
+        ticks would otherwise use it up however idle the server is.  Each
+        call parks at most once.
 
         Returns ``True`` while progress was made, ``False`` when nothing
         can happen before ``horizon`` (the clock is parked there when one
@@ -1027,15 +1117,363 @@ class FlowStepper:
             and self._na >= self._inc_min
         ):
             self._inc_promote()
+        fold = fold and self.faults is None and (
+            self._inc is not None or self._fold_dense
+        )
+        limit = max_events + self._parked
+        top = SCALAR_MAX_ACTIVE
+        scalar = (
+            self._scalar_ok
+            and self._inc is None
+            and self._na <= (top if self._scalar else top // 2)
+        )
+        perf = self.perf
+        folded0 = perf.batch_events_folded
+        # the folded pass's aligned rate vector (see _run_array) crosses
+        # a switch of representation with the pass.  The rate cache never
+        # has to: a pass switches only right after the composition changed
+        # (admissions on the way up, completions on the way down), which
+        # drops the cache, and a call starts on the representation the
+        # previous one ended on except after such a change
+        vec = None
+        mid = False
+        try:
+            while True:
+                if scalar:
+                    ret, vec = self._run_scalar(horizon, fold, limit, vec)
+                else:
+                    ret, vec = self._run_array(horizon, fold, limit, vec, mid)
+                if ret is not None:
+                    break
+                # the scalar loop hands over right after admissions (the
+                # array loop finishes that iteration), the array loop at
+                # an iteration boundary
+                mid = scalar
+                scalar = not scalar
+                if vec is not None:
+                    if scalar:
+                        vec = vec.tolist()
+                    else:
+                        k = len(vec)
+                        self._vec_buf[:k] = vec
+                        vec = self._vec_buf[:k]
+        finally:
+            self._scalar = scalar
+            if fold and perf.batch_events_folded != folded0:
+                perf.batch_jumps += 1
+        if horizon is not None and not (self._t * (1 + _ADMIT_TOL) < horizon):
+            self._parked += 1
+        return ret
+
+    def _run_scalar(
+        self, horizon: float | None, fold: bool, limit: int, vec: list | None
+    ) -> tuple[bool | None, list | None]:
+        """:meth:`_run`'s iterations on Python lists (small plain runs).
+
+        Loads the active set from the buffers into lists on entry and runs
+        the same iterations as :meth:`_run_array` does on a plain run, op
+        for op on Python floats: a stable sort for ``np.lexsort``,
+        :func:`~repro.flowsim.rates.dense_sum` for ``np.add.reduce``,
+        progress on the served entries only (an unserved entry's
+        ``rem - 0.0 * dt`` is ``rem``).  The buffers follow every
+        admission and removal as they happen; the remaining-work column,
+        which moves with every segment, is written back before a hook
+        builds its view and before returning.
+
+        Returns ``(ret, vec)`` with ``ret`` as :meth:`_run` returns it, or
+        ``None`` when admissions took the active set past
+        :data:`SCALAR_MAX_ACTIVE` (or, in a one-event call, to the
+        promotion threshold): the buffers are then current and the array
+        loop finishes the iteration.
+        """
+        perf = self.perf
+        policy = self.policy
+        m = self.m
+        n = self._n
+        base = self._base
+        speed = self._speed
+        fn = self._rates_scalar_fn
+        patch_fn = self._scalar_patch_fn if fold else None
+        stable = self._rates_stable
+        has_arrival = self._has_arrival_hook
+        has_completion = self._has_completion_hook
+        check_k = self._check_k
+        admit_mul = 1.0 + _ADMIT_TOL
+        # an order-spec policy below the promotion threshold (see
+        # _run_array)
+        watch = self._inc_spec is not None
+        inc_min = self._inc_min
+        top = SCALAR_MAX_ACTIVE
+        a_ids = self._a_ids
+        a_rem = self._a_rem
+        a_caps = self._a_caps
+        a_tol = self._a_tol
+        a_work = self._a_work
+        a_rel = self._a_rel
+        a_blk = self._a_blk
+        release = self._release
+        work_all = self._work
+        caps_all = self._caps_all
+        tol_all = self._tol
+        rem_all = self._rem
+        flow = self._flow
+        completions = self._completions
+        na = self._na
+        ids = a_ids[:na].tolist()
+        rem, caps, tol, work, rel = a_blk[:, :na].tolist()
+        ev = self._events
+        t = self._t
+        ja = self._next_arrival
+        next_rel = self._next_rel
+        cache = self._rates_cache
+        busy = self._busy_time
+        completed = self._completed
+        rate_calls = self._rate_calls
+        c_miss = c_hit = c_run = c_skip = c_reuse = c_patch = 0
+        folded = 0
+        # every completion scan of the pass after the first full one
+        # covers the served entries (see _run_array's ``fresh``)
+        fresh = True
+        # the rem list is ahead of the buffer column
+        moved = False
+        ret = True
+        try:
+            while True:
+                if watch and fold and na >= inc_min:
+                    break
+                ev += 1
+                folded += 1
+                if ev > limit:
+                    raise FlowSimError(
+                        f"{policy.name}: exceeded {self._max_events} events "
+                        f"({completed}/{n} jobs done at t={t:.6g})"
+                        " — Zeno loop?"
+                    )
+
+                # ---- admit arrivals due now ---------------------------
+                thresh = t * admit_mul
+                if next_rel <= thresh:
+                    na0 = na
+                    while ja < n and next_rel <= thresh:
+                        r = ja - base
+                        w = work_all[r]
+                        c = caps_all[r]
+                        tl = tol_all[r]
+                        rl = release[r]
+                        a_ids[na] = ja
+                        a_rem[na] = w
+                        a_caps[na] = c
+                        a_tol[na] = tl
+                        a_work[na] = w
+                        a_rel[na] = rl
+                        w = float(w)
+                        ids.append(ja)
+                        rem.append(w)
+                        caps.append(float(c))
+                        tol.append(float(tl))
+                        work.append(w)
+                        rel.append(float(rl))
+                        na += 1
+                        rem_all[r] = w
+                        ja += 1
+                        next_rel = float(release[ja - base]) if ja < n else _INF
+                        if has_arrival:
+                            if moved:
+                                a_rem[:na] = rem
+                                moved = False
+                            policy.on_arrival(ja - 1, self._view(t, na))
+                    cache = None
+                    fresh = True
+                    if vec is not None:
+                        # in place: ``vec`` may be the list the dropped
+                        # cache held, which nothing reads any more
+                        vec += [0.0] * (na - na0)
+                    if na > top or (watch and not fold and na >= inc_min):
+                        ret = None
+                        break
+
+                if not na:
+                    nxt = next_rel
+                    if nxt == _INF:
+                        if horizon is not None:
+                            t = max(t, float(horizon))
+                        ret = False
+                        break
+                    if horizon is not None and nxt > horizon * admit_mul:
+                        t = max(t, float(horizon))
+                        ret = False
+                        break
+                    t = max(t, nxt)
+                    if fold and (horizon is None or t * admit_mul < horizon):
+                        continue
+                    break
+
+                # ---- constant-rate segment until the next event -------
+                if cache is not None:
+                    c_hit += 1
+                    rates, rsum = cache
+                else:
+                    c_miss += 1
+                    calls = rate_calls
+                    rate_calls = calls + 1
+                    rates = None
+                    if vec is not None:
+                        pairs = patch_fn(ids, caps)
+                        if pairs is not None:
+                            for p, val in pairs:
+                                vec[p] = val
+                            rates = vec
+                            c_patch += 1
+                    if rates is None:
+                        rates = fn(t, m, ids, rem, work, rel, caps)
+                    if len(rates) != na:
+                        raise FlowSimError(
+                            f"{policy.name}: rates shape ({len(rates)},) "
+                            f"!= ({na},)"
+                        )
+                    if not calls % check_k:
+                        rates = self._check_rates_scalar(rates, caps, m)
+                        c_run += 1
+                    else:
+                        c_skip += 1
+                    rsum = dense_sum(rates)
+                    if stable:
+                        cache = (rates, rsum)
+                c_reuse += 1
+                if patch_fn is not None:
+                    vec = rates
+                eff = rates if speed == 1.0 else [e * speed for e in rates]
+                if min(eff) > 0:
+                    served = None  # all (RR always, others while caps fit)
+                    dt = min(map(truediv, rem, eff))
+                else:
+                    served = []
+                    dt = _INF
+                    for k, e in enumerate(eff):
+                        if e > 0:
+                            served.append(k)
+                            q = rem[k] / e
+                            if q < dt:
+                                dt = q
+                if ja < n:
+                    dt_arr = next_rel - t
+                    if dt_arr < dt:
+                        dt = dt_arr
+                if horizon is not None and horizon > t:
+                    dt_hor = float(horizon) - t
+                    if dt_hor < dt:
+                        dt = dt_hor
+
+                if dt == _INF:
+                    if horizon is not None:
+                        ret = False  # parked at the horizon with idle-rate jobs
+                        break
+                    raise FlowSimError(
+                        f"{policy.name}: stalled at t={t:.6g} with "
+                        f"{na} active jobs, zero rates and no "
+                        "future events"
+                    )
+                if dt < 0:
+                    raise FlowSimError(f"{policy.name}: negative time step {dt}")
+
+                if dt > 0:
+                    if served is None:
+                        rem = [r - e * dt for r, e in zip(rem, eff)]
+                        moved = True
+                    elif served:
+                        for k in served:
+                            rem[k] -= eff[k] * dt
+                        moved = True
+                    busy += rsum * dt
+                    t += dt
+
+                # ---- completions, lowest job id first -----------------
+                if fresh or served is None:
+                    fresh = False
+                    done = (
+                        [k for k in range(na) if rem[k] <= tol[k]]
+                        if any(map(le, rem, tol))
+                        else ()
+                    )
+                else:
+                    done = [k for k in served if rem[k] <= tol[k]]
+                if done:
+                    for k, p in enumerate(done):
+                        p -= k  # shifted left by the k removals before it
+                        j = ids[p]
+                        r = j - base
+                        rem_all[r] = rem[p]
+                        flow[r] = t - rel[p]
+                        del ids[p], rem[p], caps[p], tol[p], work[p], rel[p]
+                        a_ids[p : na - 1] = a_ids[p + 1 : na]
+                        a_blk[:, p : na - 1] = a_blk[:, p + 1 : na]
+                        na -= 1
+                        if vec is not None:
+                            del vec[p]
+                        completed += 1
+                        completions.append((j, t))
+                        if has_completion:
+                            if moved:
+                                a_rem[:na] = rem
+                                moved = False
+                            policy.on_completion(j, self._view(t, na))
+                    cache = None
+
+                if not fold:
+                    break
+                if horizon is not None:
+                    if not (t * admit_mul < horizon):
+                        break
+                elif completed == n:
+                    break
+        finally:
+            if moved:
+                a_rem[:na] = rem
+            self._events = ev
+            self._t = t
+            self._na = na
+            self._next_arrival = ja
+            self._next_rel = next_rel
+            self._rates_cache = cache
+            self._busy_time = busy
+            self._completed = completed
+            self._rate_calls = rate_calls
+            perf.rate_misses += c_miss
+            perf.rate_hits += c_hit
+            perf.checks_run += c_run
+            perf.checks_skipped += c_skip
+            perf.view_reuses += c_reuse
+            perf.batch_rate_patches += c_patch
+            if fold and folded:
+                perf.batch_events_folded += folded
+        return ret, vec
+
+    def _run_array(
+        self,
+        horizon: float | None,
+        fold: bool,
+        limit: int,
+        vec: np.ndarray | None,
+        mid: bool,
+    ) -> tuple[bool | None, np.ndarray | None]:
+        """:meth:`_run`'s iterations on the numpy buffers (every run).
+
+        ``mid`` enters right after the admissions of an iteration the
+        scalar loop began.  Returns ``(ret, vec)`` with ``ret`` as
+        :meth:`_run` returns it, or ``None`` when the pass should go on
+        in :meth:`_run_scalar`: the active set of a run it serves has
+        shrunk to ``SCALAR_MAX_ACTIVE // 2``.
+        """
         inc = self._inc
         faults = self.faults
-        fold = fold and faults is None and (inc is not None or self._fold_dense)
         # an order-spec policy still below the promotion threshold: a
         # folded pass ends at the iteration boundary where admissions have
         # crossed it (the caller's next pass promotes on entry), a
         # one-event call promotes in place right after admission
         watch = self._inc_spec is not None and inc is None
         inc_min = self._inc_min
+        down = self._scalar_ok and inc is None
+        low = SCALAR_MAX_ACTIVE // 2
         perf = self.perf
         policy = self.policy
         m = self.m
@@ -1094,69 +1532,75 @@ class FlowStepper:
         # admitted jobs without a completion scan), so the first dense
         # completion scan always covers the whole active set
         fresh = True
-        # the previous segment's rate vector, kept *structurally aligned*
-        # with the active buffers across admissions/completions so the
-        # policy's rates_array_patch can update it sparsely; None until
-        # the pass's first full compute (or always, outside a folded pass)
-        vec = None
+        # ``vec``: the previous segment's rate vector, kept *structurally
+        # aligned* with the active buffers across admissions/completions
+        # so the policy's rates_array_patch can update it sparsely; None
+        # until the pass's first full compute (or always, outside a folded
+        # pass)
         ret = True
         try:
             while True:
-                if watch and fold and na >= inc_min:
-                    break
-                ev += 1
-                folded += 1
-                if ev > max_events:
-                    raise FlowSimError(
-                        f"{policy.name}: exceeded {max_events} events "
-                        f"({completed}/{n} jobs done at t={t:.6g})"
-                        " — Zeno loop?"
-                    )
+                if mid:
+                    mid = False
+                else:
+                    if down and na <= low:
+                        ret = None
+                        break
+                    if watch and fold and na >= inc_min:
+                        break
+                    ev += 1
+                    folded += 1
+                    if ev > limit:
+                        raise FlowSimError(
+                            f"{policy.name}: exceeded {self._max_events} events "
+                            f"({completed}/{n} jobs done at t={t:.6g})"
+                            " — Zeno loop?"
+                        )
 
-                # ---- faults due now (before arrivals: a processor that
-                # crashed at t is already gone when a job arriving at t
-                # draws).  Fault runs never fold, so this is the pass's
-                # first iteration and the stepper's own fields are current.
-                if faults is not None:
-                    self._apply_due_faults()
-                    na = self._na
-                    cache = self._rates_cache
+                    # ---- faults due now (before arrivals: a processor that
+                    # crashed at t is already gone when a job arriving at t
+                    # draws).  Fault runs never fold, so this is the pass's
+                    # first iteration and the stepper's own fields are current.
+                    if faults is not None:
+                        self._apply_due_faults()
+                        na = self._na
+                        cache = self._rates_cache
 
-                # ---- admit arrivals due now ---------------------------
-                thresh = t * admit_mul
-                if next_rel <= thresh:
-                    na0 = na
-                    while ja < n and next_rel <= thresh:
-                        r = ja - base
-                        w = work_all[r]
-                        a_ids[na] = ja
-                        a_rem[na] = w
-                        a_caps[na] = caps_all[r]
-                        a_tol[na] = tol_all[r]
-                        a_work[na] = w
-                        a_rel[na] = release[r]
-                        na += 1
-                        rem_all[r] = w
-                        if inc is not None:
-                            wf = float(w)
-                            inc.order.insert(
-                                *inc.key_tie(ja, wf, wf, float(release[r]))
-                            )
-                            if w <= tol_all[r]:
-                                inc.dust.append(ja)
-                        ja += 1
-                        next_rel = float(release[ja - base]) if ja < n else _INF
-                        if has_arrival:
-                            policy.on_arrival(ja - 1, self._view(t, na))
-                    cache = None
-                    fresh = True
-                    if vec is not None:
-                        # admissions append at the end (ids are handed
-                        # out in sorted order) with rate 0 until the
-                        # patch says otherwise; vec stays a prefix view
-                        # of the scratch, so this is one in-place fill
-                        vbuf[na0:na] = 0.0
-                        vec = vbuf[:na]
+                    # ---- admit arrivals due now ---------------------------
+                    thresh = t * admit_mul
+                    if next_rel <= thresh:
+                        na0 = na
+                        while ja < n and next_rel <= thresh:
+                            r = ja - base
+                            w = work_all[r]
+                            a_ids[na] = ja
+                            a_rem[na] = w
+                            a_caps[na] = caps_all[r]
+                            a_tol[na] = tol_all[r]
+                            a_work[na] = w
+                            a_rel[na] = release[r]
+                            na += 1
+                            rem_all[r] = w
+                            if inc is not None:
+                                wf = float(w)
+                                inc.order.insert(
+                                    *inc.key_tie(ja, wf, wf, float(release[r]))
+                                )
+                                if w <= tol_all[r]:
+                                    inc.dust.append(ja)
+                            ja += 1
+                            next_rel = float(release[ja - base]) if ja < n else _INF
+                            if has_arrival:
+                                policy.on_arrival(ja - 1, self._view(t, na))
+                        cache = None
+                        fresh = True
+                        if vec is not None:
+                            # admissions append at the end (ids are handed
+                            # out in sorted order) with rate 0 until the
+                            # patch says otherwise; vec stays a prefix view
+                            # of the scratch, so this is one in-place fill
+                            vbuf[na0:na] = 0.0
+                            vec = vbuf[:na]
 
                 if not na:
                     nxt = next_rel
@@ -1189,7 +1633,7 @@ class FlowStepper:
                     self._na = na
                     self._inc_promote()
                     inc = self._inc
-                    watch = False
+                    watch = down = False
                     cache = None
 
                 # ---- constant-rate segment until the next event -------
@@ -1515,11 +1959,10 @@ class FlowStepper:
             perf.view_reuses += c_reuse
             perf.batch_rate_patches += c_patch
             if fold and folded:
-                perf.batch_jumps += 1
                 perf.batch_events_folded += folded
             if self._inc is not None:
                 self._inc_sync_perf()
-        return ret
+        return ret, vec
 
     # -- incremental (O(log n)) structures ---------------------------------
 
@@ -1900,6 +2343,7 @@ class FlowStepper:
             "completed": self._completed,
             "busy_time": self._busy_time,
             "events": self._events,
+            "parked": self._parked,
             "act_ids": self._a_ids[:na].tolist(),
             "segments": [
                 [a, b, {str(k): v for k, v in alloc.items()}]
@@ -1978,6 +2422,8 @@ class FlowStepper:
         stepper._completed = int(state["completed"])
         stepper._busy_time = float(state["busy_time"])
         stepper._events = int(state["events"])
+        # snapshots from before the Zeno budget exempted parked iterations
+        stepper._parked = int(state.get("parked", 0))
         stepper._completions = [
             (int(raw["job_id"]), float(raw["finish"])) for raw in finished
         ]
@@ -2006,6 +2452,14 @@ class FlowStepper:
         stepper._weights_dirty = hasattr(policy, "set_weights")
         stepper._init_runtime_caches()
         return stepper
+
+
+def _owner(cls: type, name: str) -> type | None:
+    """The class in ``cls``'s MRO whose body defines ``name``."""
+    for klass in cls.__mro__:
+        if name in vars(klass):
+            return klass
+    return None
 
 
 #: switches older snapshots carry: the engine always runs with them on

@@ -118,6 +118,12 @@ class Policy(abc.ABC):
     :meth:`rates` must return a *fresh* array on every call (never a view
     of internal state that a later hook mutates): the engine may hold on
     to the vector across events when :attr:`rates_stable` permits.
+
+    Three optional hooks serve the engine's faster paths, each bit-for-bit
+    equal to :meth:`rates`: :meth:`rates_array` on the flat numpy buffers,
+    :meth:`rates_array_patch` for sparse updates inside folded passes, and
+    :meth:`rates_scalar` (with :meth:`rates_scalar_patch`) on Python lists
+    for small active sets.
     """
 
     #: Human-readable name used in results and plots.
@@ -258,6 +264,52 @@ class Policy(abc.ABC):
         engine still runs the amortized ``check_every_k`` invariant
         verification on the patched vector at the exact same cadence as
         on a rebuild, so a patch is never exempt from checking.
+        """
+        return None
+
+    def rates_scalar(
+        self,
+        t: float,
+        m: int,
+        job_ids: list[int],
+        remaining: list[float],
+        work: list[float],
+        release: list[float],
+        caps: list[float],
+    ) -> list[float]:
+        """Optional scalar twin of :meth:`rates_array` on Python lists.
+
+        Small active sets pay numpy's per-call overhead on arrays of a
+        few elements, so the engine runs plain runs (no fault plan,
+        profiles, segment recording, timer or ``set_weights``) with at
+        most ``repro.flowsim.engine.SCALAR_MAX_ACTIVE`` active jobs on
+        Python lists and feeds them here.  The arguments are the
+        :meth:`rates_array` arguments as lists (``job_ids`` ascending),
+        and the contract is stricter still:
+
+        * the returned list must be **bit-for-bit** what
+          :meth:`rates_array` returns on the same values — same IEEE
+          operations in the same order; ``repro.flowsim.rates`` has
+          scalar twins of the shared allocation shapes, and
+          :func:`~repro.flowsim.rates.dense_sum` replicates numpy's
+          pairwise sums;
+        * never mutate or retain the inputs; always return a fresh list.
+
+        The engine uses the hook only when the class that defines it also
+        defines :meth:`rates_array` (a subclass that overrides just the
+        array hook stays on numpy) and, for a policy with a
+        :meth:`rates_array_patch`, only alongside a matching
+        :meth:`rates_scalar_patch`.
+        """
+        raise NotImplementedError(f"{self.name} has no scalar rate hook")
+
+    def rates_scalar_patch(
+        self, job_ids: list[int], caps: list[float]
+    ) -> list[tuple[int, float]] | None:
+        """Scalar twin of :meth:`rates_array_patch` on Python lists.
+
+        Same contract and the same pairs, bit for bit; the engine calls it
+        inside folded passes that run on the small-active-set backend.
         """
         return None
 

@@ -25,6 +25,9 @@ budget can be checked empirically (``benchmarks/test_preemptions.py``).
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from functools import partial
+
 import numpy as np
 
 from repro.flowsim.policies.base import ActiveView, Policy
@@ -264,32 +267,40 @@ class _DrepBase(Policy):
         raise NotImplementedError
 
     def rates_array_patch(self, job_ids, caps):
-        """Sparse rate update under the one-processor rule.
+        """Sparse rate update: re-derives each dirty job's rate from the
+        *current* assignment table (:meth:`_rate_of`) for every dirty job
+        still active, so stale dirty entries (recorded before an
+        unconsumed full rebuild) are harmless."""
+        return self._patch(job_ids, caps, job_ids.searchsorted)
 
-        Re-derives ``min(1, cap)`` / ``0`` from the *current* assignment
-        table for every dirty job still active, so stale dirty entries
-        (recorded before an unconsumed full rebuild) are harmless.
-        ``DrepParallel`` overrides this with the processor-count rule.
-        """
-        assignment = self._assignment
-        if assignment is None:
+    def rates_scalar_patch(self, job_ids, caps):
+        return self._patch(job_ids, caps, partial(bisect_left, job_ids))
+
+    def _patch(self, job_ids, caps, locate):
+        """The dirty jobs' ``(position, rate)`` pairs; ``locate`` finds an
+        id's insertion position in the ascending ``job_ids``."""
+        if self._assignment is None:
             return None
         dirty = self._rate_dirty
         if not dirty:
             return ()
         out = []
-        size = job_ids.size
-        procs_of = self._procs_of
+        size = len(job_ids)
+        rate_of = self._rate_of
         for j in dirty:
-            pos = int(job_ids.searchsorted(j))
+            pos = int(locate(j))
             if pos < size and job_ids[pos] == j:
-                if j in procs_of:
-                    c = caps[pos]
-                    out.append((pos, c if c < 1.0 else 1.0))
-                else:
-                    out.append((pos, 0.0))
+                out.append((pos, rate_of(j, caps[pos])))
         dirty.clear()
         return out
+
+    def _rate_of(self, job_id: int, cap: float) -> float:
+        """One job's rate under the one-processor rule: ``min(1, cap)``
+        while it holds a processor, else 0.  ``DrepParallel`` overrides
+        this with the processor-count rule."""
+        if job_id in self._procs_of:
+            return cap if cap < 1.0 else 1.0
+        return 0.0
 
 
 class DrepSequential(_DrepBase):
@@ -380,6 +391,19 @@ class DrepSequential(_DrepBase):
         self._rate_dirty.clear()
         return _one_proc_rates_arr(job_ids, caps, self._assignment)
 
+    def rates_scalar(self, t, m, job_ids, remaining, work, release, caps):
+        assert self._assignment is not None
+        self._rate_dirty.clear()
+        n = len(job_ids)
+        rates = [0.0] * n
+        # ``_procs_of`` keys are exactly the jobs holding a processor
+        for j in self._procs_of:
+            pos = bisect_left(job_ids, j)
+            if pos < n and job_ids[pos] == j:
+                c = caps[pos]
+                rates[pos] = c if c < 1.0 else 1.0
+        return rates
+
 
 class DrepParallel(_DrepBase):
     """DREP's processor-assignment rule for parallel jobs (paper Sec. IV)."""
@@ -441,22 +465,20 @@ class DrepParallel(_DrepBase):
         np.minimum(caps, counts[job_ids], out=rates)
         return rates
 
-    def rates_array_patch(self, job_ids, caps):
-        """Sparse rate update under the processor-count rule."""
-        assignment = self._assignment
-        if assignment is None:
-            return None
-        dirty = self._rate_dirty
-        if not dirty:
-            return ()
-        out = []
-        size = job_ids.size
-        procs_of = self._procs_of
-        for j in dirty:
-            pos = int(job_ids.searchsorted(j))
-            if pos < size and job_ids[pos] == j:
-                c = float(len(procs_of.get(j, ())))
-                cap = caps[pos]
-                out.append((pos, cap if cap < c else c))
-        dirty.clear()
-        return out
+    def rates_scalar(self, t, m, job_ids, remaining, work, release, caps):
+        assert self._assignment is not None
+        self._rate_dirty.clear()
+        n = len(job_ids)
+        rates = [0.0] * n
+        for j, procs in self._procs_of.items():
+            pos = bisect_left(job_ids, j)
+            if pos < n and job_ids[pos] == j:
+                c = caps[pos]
+                k = float(len(procs))
+                rates[pos] = c if c < k else k
+        return rates
+
+    def _rate_of(self, job_id: int, cap: float) -> float:
+        """The processor-count rule: ``min(cap, processors held)``."""
+        k = float(len(self._procs_of.get(job_id, ())))
+        return cap if cap < k else k

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.flowsim.policies.base import ActiveView, Policy
-from repro.flowsim.rates import equal_split
+from repro.flowsim.rates import equal_split, equal_split_scalar
 
 __all__ = ["RoundRobin"]
 
@@ -34,3 +34,6 @@ class RoundRobin(Policy):
 
     def rates_array(self, t, m, job_ids, remaining, work, release, caps):
         return equal_split(caps, m)
+
+    def rates_scalar(self, t, m, job_ids, remaining, work, release, caps):
+        return equal_split_scalar(caps, m)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.flowsim.policies.base import ActiveView, OrderSpec, Policy
-from repro.flowsim.rates import priority_waterfill
+from repro.flowsim.rates import priority_waterfill, priority_waterfill_scalar
 
 __all__ = ["SJF", "SWF"]
 
@@ -33,6 +33,9 @@ class SJF(Policy):
     def rates_array(self, t, m, job_ids, remaining, work, release, caps):
         order = np.lexsort((job_ids, work))
         return priority_waterfill(caps, order, m)
+
+    def rates_scalar(self, t, m, job_ids, remaining, work, release, caps):
+        return priority_waterfill_scalar(caps, work, m)
 
 
 class SWF(SJF):

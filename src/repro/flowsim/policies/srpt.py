@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.flowsim.policies.base import ActiveView, OrderSpec, Policy
-from repro.flowsim.rates import priority_waterfill
+from repro.flowsim.rates import priority_waterfill, priority_waterfill_scalar
 
 __all__ = ["SRPT"]
 
@@ -34,3 +34,6 @@ class SRPT(Policy):
     def rates_array(self, t, m, job_ids, remaining, work, release, caps):
         order = np.lexsort((job_ids, remaining))
         return priority_waterfill(caps, order, m)
+
+    def rates_scalar(self, t, m, job_ids, remaining, work, release, caps):
+        return priority_waterfill_scalar(caps, remaining, m)

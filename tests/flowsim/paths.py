@@ -2,17 +2,22 @@
 
 The engine picks its paths from what a policy *class* overrides — the
 vectorized ``rates_array`` hook and its sparse ``rates_array_patch``
-complement — and from the run itself: ``step()`` always handles one
-event, while ``drain()`` / ``advance_to()`` fold whole runs of events
-where the run allows it.  The equivalence suites use these helpers to run
-the remaining path of the same policy against the goldens and against
-the default run.
+complement, and their scalar twins ``rates_scalar`` /
+``rates_scalar_patch`` — and from the run itself: ``step()`` always
+handles one event, while ``drain()`` / ``advance_to()`` fold whole runs
+of events where the run allows it, and a plain run of a policy with the
+scalar hooks runs on Python lists while it has at most
+``SCALAR_MAX_ACTIVE`` active jobs.  The equivalence suites use these
+helpers to run the remaining path of the same policy against the goldens
+and against the default run.
 """
 
 from __future__ import annotations
 
 import types
+from contextlib import contextmanager
 
+import repro.flowsim.engine as engine
 from repro.flowsim.engine import _ADMIT_TOL, FlowStepper
 from repro.flowsim.policies import policy_by_name
 from repro.flowsim.policies.base import Policy
@@ -27,8 +32,8 @@ def _hide(policy: Policy, **defaults) -> Policy:
 
 
 def object_path(policy: Policy | str) -> Policy:
-    """``policy`` served through ``rates(view)``: ``rates_array`` and
-    ``rates_array_patch`` reset to the :class:`Policy` defaults."""
+    """``policy`` served through ``rates(view)``: the vectorized and the
+    scalar hooks reset to the :class:`Policy` defaults."""
     if isinstance(policy, str):
         policy = policy_by_name(policy)
     twin = type(policy).rates_array
@@ -36,6 +41,8 @@ def object_path(policy: Policy | str) -> Policy:
         policy,
         rates_array=Policy.rates_array,
         rates_array_patch=Policy.rates_array_patch,
+        rates_scalar=Policy.rates_scalar,
+        rates_scalar_patch=Policy.rates_scalar_patch,
     )
     # LAPS and DREP-par compute rates(view) by feeding the view's arrays
     # to their own vectorized twin; keep it callable on the instance —
@@ -45,11 +52,55 @@ def object_path(policy: Policy | str) -> Policy:
 
 
 def unpatched(policy: Policy | str) -> Policy:
-    """``policy`` without ``rates_array_patch``: folded passes rebuild the
-    rate vector in full at every decision point."""
+    """``policy`` without ``rates_array_patch`` and ``rates_scalar_patch``:
+    folded passes rebuild the rate vector in full at every decision
+    point."""
     if isinstance(policy, str):
         policy = policy_by_name(policy)
-    return _hide(policy, rates_array_patch=Policy.rates_array_patch)
+    return _hide(
+        policy,
+        rates_array_patch=Policy.rates_array_patch,
+        rates_scalar_patch=Policy.rates_scalar_patch,
+    )
+
+
+#: ``scalar_max`` values: no run ever takes the scalar loop, or every run
+#: the scalar backend serves stays on it throughout
+ARRAY = -1
+SCALAR = 10**9
+
+
+@contextmanager
+def scalar_max(n: int):
+    """Run the block with ``SCALAR_MAX_ACTIVE`` set to ``n``.
+
+    :data:`ARRAY` keeps every run on the numpy buffers, :data:`SCALAR`
+    keeps the runs the scalar backend serves on Python lists, and a
+    small value makes a run cross the threshold both ways.
+    """
+    old = engine.SCALAR_MAX_ACTIVE
+    engine.SCALAR_MAX_ACTIVE = n
+    try:
+        yield
+    finally:
+        engine.SCALAR_MAX_ACTIVE = old
+
+
+def full_record(result) -> dict:
+    """Everything a run reports — flows, counters, extras and every perf
+    counter — minus the wall-clock and memory readings."""
+    extra = dict(result.extra)
+    perf = dict(extra.pop("perf", {}))
+    for noise in ("wall_s", "peak_rss_mb", "py_peak_mb"):
+        perf.pop(noise, None)
+    return {
+        "flow_times": [float(x) for x in result.flow_times],
+        "preemptions": int(result.preemptions),
+        "migrations": int(result.migrations),
+        "makespan": float(result.makespan),
+        "extra": extra,
+        "perf": perf,
+    }
 
 
 def step_through(stepper: FlowStepper) -> None:

@@ -197,6 +197,69 @@ class TestEventBudget:
             )
 
 
+class TestParkedIterations:
+    """Clock advances that only park at the caller's horizon count as
+    events but not against the Zeno budget: a live server's ticks must
+    not use it up however long it idles."""
+
+    def test_idle_online_scheduler_outlives_the_budget(self):
+        from repro.serve.online import OnlineScheduler
+
+        sched = OnlineScheduler(2, SRPT())
+        for k in range(1, 1501):
+            sched.advance_to(0.05 * k)
+        assert sched.stats()["events"] == 1500  # still counted as events
+        sched.submit(work=2.0)
+        sched.advance_to(80.0)
+        assert sched.n_completed == 1
+
+    def test_horizon_steps_outlive_the_budget(self):
+        from repro.flowsim.engine import FlowStepper
+
+        stepper = FlowStepper(1, SRPT())
+        stepper.add_jobs(list(make_trace([1500.0]).jobs))
+        for k in range(1, 1501):
+            stepper.advance_to(float(k))  # each cuts the one segment
+        assert stepper.drained
+        other = FlowStepper(1, SRPT())
+        other.add_jobs(list(make_trace([1200.0]).jobs))
+        for k in range(1, 1201):
+            assert other.step(float(k))
+        assert other.drained
+
+    def test_zeno_timer_still_trips_between_horizons(self):
+        from repro.flowsim.engine import FlowStepper
+
+        stepper = FlowStepper(1, TestEventBudget.ZenoTimer())
+        stepper.add_jobs(list(make_trace([1.0]).jobs))
+        with pytest.raises(FlowSimError, match="Zeno"):
+            for k in range(1, 100):
+                stepper.advance_to(float(k))
+
+    def test_snapshot_keeps_the_parked_count(self):
+        from repro.flowsim.engine import FlowStepper
+
+        config = FlowSimConfig(max_events=50)
+        stepper = FlowStepper(1, SRPT(), config=config)
+        stepper.add_jobs(list(make_trace([5000.0]).jobs))
+        for k in range(1, 1001):
+            stepper.advance_to(float(k))
+        state = stepper.state_dict()
+        assert state["parked"] == 1000
+        restored = FlowStepper.from_state_dict(
+            state, SRPT(), stepper.finished_state()
+        )
+        assert restored.state_dict()["parked"] == 1000
+        restored.drain()  # the same budget left: 50 events, not -950
+        assert restored.events == 1001
+        # a snapshot taken before the count existed restores with 0, so
+        # its 1000 parked events count against the budget of 50
+        del state["parked"]
+        old = FlowStepper.from_state_dict(state, SRPT(), [])
+        with pytest.raises(FlowSimError, match="exceeded 50 events"):
+            old.drain()
+
+
 class TestDeterminism:
     def test_same_seed_same_result(self, small_random_trace):
         from repro.flowsim.policies import DrepSequential

@@ -26,8 +26,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.flowsim.engine import FlowSimConfig
-from tests.flowsim.paths import object_path
+from repro.flowsim.engine import FlowSimConfig, simulate
+from repro.flowsim.policies import policy_by_name
+from tests.flowsim.paths import ARRAY, SCALAR, full_record, object_path, scalar_max
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 
@@ -147,3 +148,41 @@ def test_sequential_one_event_steps_bit_for_bit(seq_trace, policy):
 def test_parallel_one_event_steps_bit_for_bit(par_trace, policy):
     got = gen_goldens.run_flow_case(par_trace, 4, policy, seed=7, steps=True)
     assert json.loads(json.dumps(got)) == GOLDEN[f"par/{policy}"]
+
+
+# -- the scalar backend vs the numpy buffers --------------------------------
+#
+# Plain runs of the policies with scalar hooks run on Python lists while
+# the active set is small.  `scalar_max` pins a run to one backend: both
+# must hit the goldens, and agree on every perf counter besides.
+
+
+def _backend_case(trace, policy, force, config=FlowSimConfig()):
+    with scalar_max(force):
+        record = gen_goldens.run_flow_case(trace, 4, policy, seed=7, config=config)
+        result = simulate(trace, 4, policy_by_name(policy), seed=7, config=config)
+    return json.loads(json.dumps(record)), full_record(result)
+
+
+@pytest.mark.parametrize("policy", gen_goldens.FLOW_SEQ_POLICIES)
+def test_sequential_backends_bit_for_bit(seq_trace, policy):
+    on_lists, lists_full = _backend_case(seq_trace, policy, SCALAR)
+    on_arrays, arrays_full = _backend_case(seq_trace, policy, ARRAY)
+    assert on_lists == on_arrays == GOLDEN[f"seq/{policy}"]
+    assert lists_full == arrays_full
+
+
+@pytest.mark.parametrize("policy", gen_goldens.FLOW_PAR_POLICIES)
+def test_parallel_backends_bit_for_bit(par_trace, policy):
+    on_lists, lists_full = _backend_case(par_trace, policy, SCALAR)
+    on_arrays, arrays_full = _backend_case(par_trace, policy, ARRAY)
+    assert on_lists == on_arrays == GOLDEN[f"par/{policy}"]
+    assert lists_full == arrays_full
+
+
+def test_speed_augmented_backends_bit_for_bit(seq_trace):
+    config = FlowSimConfig(speed=2.0)
+    on_lists, lists_full = _backend_case(seq_trace, "drep", SCALAR, config)
+    on_arrays, arrays_full = _backend_case(seq_trace, "drep", ARRAY, config)
+    assert on_lists == on_arrays == GOLDEN["seq/drep/speed2"]
+    assert lists_full == arrays_full

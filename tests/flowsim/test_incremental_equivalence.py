@@ -34,7 +34,7 @@ from repro.flowsim.engine import FlowSimConfig, FlowStepper, simulate
 from repro.flowsim.policies import policy_by_name
 from repro.flowsim.stream import simulate_stream
 from repro.workloads.traces import Trace, generate_trace
-from tests.flowsim.paths import object_path
+from tests.flowsim.paths import ARRAY, SCALAR, full_record, object_path, scalar_max
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 _spec = importlib.util.spec_from_file_location(
@@ -240,6 +240,36 @@ def test_mid_run_promotion_equals_dense(inst, policy_idx, min_active, seed):
     )
     dense = gen_goldens.run_flow_case(trace, m, policy, seed=seed, config=DENSE)
     assert hybrid == dense
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    inst=random_instance(),
+    policy_idx=st.integers(0, len(ORDER_POLICIES) - 1),
+    min_active=st.sampled_from([1, 2, 4, 7, NEVER]),
+    steps=st.booleans(),
+    seed=st.integers(0, 10),
+)
+def test_promotion_from_the_scalar_backend(inst, policy_idx, min_active, steps, seed):
+    """Starting on the scalar backend's lists instead of the numpy
+    buffers changes nothing about promotion: the same flows, extras and
+    perf counters, including ``order_ops`` and the calendar's."""
+    trace, m, mode = inst
+    policy = ORDER_POLICIES[policy_idx]
+    config = FlowSimConfig(incremental_min_active=min_active)
+
+    def record(force):
+        with scalar_max(force):
+            stepper = FlowStepper(m, policy_by_name(policy), seed=seed, config=config)
+            stepper.add_jobs(list(trace.jobs))
+            if steps:
+                while not stepper.drained:
+                    stepper.step()
+            else:
+                stepper.drain()
+            return full_record(stepper.result())
+
+    assert record(SCALAR) == record(ARRAY)
 
 
 def test_promotion_threshold_defers_structures():

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.flowsim.order import CompletionCalendar, OrderIndex, sparse_sum
+from repro.flowsim.rates import dense_sum
 
 
 # -- OrderIndex ----------------------------------------------------------
@@ -227,6 +228,28 @@ def test_sparse_sum_matches_numpy_pairwise(n, data):
     for p, v in zip(pos, val):
         dense[p] = v
     assert sparse_sum(pos, val, n) == float(np.add.reduce(dense))
+    assert dense_sum(dense.tolist()) == float(np.add.reduce(dense))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.one_of(
+        st.integers(0, 20),  # the plain loop and the first unrolled block
+        st.integers(120, 140),  # the largest single block and the split
+        st.integers(141, 4097),
+    ),
+    data=st.data(),
+)
+def test_dense_sum_matches_numpy_pairwise(n, data):
+    """:func:`dense_sum` is ``np.add.reduce`` on a list, bit for bit —
+    at every length class of numpy's pairwise tree and on values of any
+    sign and magnitude."""
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    scale = data.draw(st.sampled_from([1.0, 1e-9, 1e9, 1e300]))
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(n) * scale
+    v[rng.random(n) < 0.3] = 0.0
+    assert dense_sum(v.tolist()) == float(np.add.reduce(v))
 
 
 def test_sparse_sum_dense_vector_exact():

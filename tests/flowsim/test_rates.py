@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.flowsim.rates import equal_split, priority_waterfill
+from repro.flowsim.rates import (
+    equal_split,
+    equal_split_scalar,
+    priority_waterfill,
+    priority_waterfill_scalar,
+)
 
 
 class TestPriorityWaterfill:
@@ -111,3 +116,47 @@ def test_equal_split_fairness(caps, m):
     if unsat.sum() >= 2:
         vals = rates[unsat]
         assert vals.max() - vals.min() < 1e-6
+
+
+# -- scalar twins --------------------------------------------------------------
+
+#: caps as the engine sees them (1 or m) plus arbitrary positive ones
+twin_caps = st.one_of(
+    st.lists(st.sampled_from([1.0, 4.0]), min_size=0, max_size=40),
+    st.lists(st.floats(0.01, 64.0, allow_nan=False), min_size=0, max_size=40),
+)
+#: keys with many exact ties
+twin_keys = st.sampled_from([0.0, 1e-9, 0.5, 1.0, 3.0, 1e9])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    caps=twin_caps,
+    m=st.one_of(st.integers(1, 16), st.floats(0.5, 64.0)),
+    data=st.data(),
+)
+def test_waterfill_scalar_twin(caps, m, data):
+    """Stable sort by key ≡ ``np.lexsort((ids, key))``; the skipped sort
+    when every cap fits changes nothing."""
+    keys = data.draw(
+        st.lists(
+            st.one_of(twin_keys, st.floats(0.0, 1e6)),
+            min_size=len(caps),
+            max_size=len(caps),
+        )
+    )
+    order = np.lexsort((np.arange(len(caps)), np.array(keys, dtype=float)))
+    want = priority_waterfill(np.array(caps, dtype=float), order, m)
+    assert priority_waterfill_scalar(caps, keys, m) == want.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(caps=twin_caps, m=st.one_of(st.integers(0, 16), st.floats(0.0, 128.0)))
+def test_equal_split_scalar_twin(caps, m):
+    want = equal_split(np.array(caps, dtype=float), m)
+    assert equal_split_scalar(caps, m) == want.tolist()
+
+
+def test_equal_split_scalar_rejects_nonpositive_caps():
+    with pytest.raises(ValueError):
+        equal_split_scalar([0.0, 1.0], 1)

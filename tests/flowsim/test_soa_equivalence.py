@@ -37,7 +37,11 @@ from repro.flowsim.engine import FlowSimConfig, FlowStepper, simulate
 from repro.flowsim.policies import policy_by_name
 from repro.workloads.traces import Trace, generate_trace
 from tests.flowsim.paths import (
+    ARRAY,
+    SCALAR,
+    full_record,
     object_path,
+    scalar_max,
     step_through,
     step_to,
     unpatched,
@@ -354,3 +358,33 @@ def test_unpatched_policy_rebuilds():
     assert _perf_of(patched).get("batch_rate_patches", 0) > 0
     assert rebuilt.flow_times.tolist() == patched.flow_times.tolist()
     assert rebuilt.extra["events"] == patched.extra["events"]
+
+
+# -- the scalar backend vs the numpy buffers ----------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    inst=random_instance(),
+    policy_idx=st.integers(0, max(len(HOOK_POLICIES_SEQ), len(HOOK_POLICIES_PAR)) - 1),
+    seed=st.integers(0, 20),
+    steps=st.booleans(),
+)
+def test_scalar_backend_equals_numpy_buffers(inst, policy_idx, seed, steps):
+    """Every hook policy, pinned to the Python lists (where the scalar
+    backend serves it at all) or to the numpy buffers, reports the same
+    flows, extras and perf counters — folded or one event per call."""
+    trace, m, mode = inst
+    policy = _pick(HOOK_POLICIES_SEQ, HOOK_POLICIES_PAR, mode, policy_idx)
+
+    def record(force):
+        with scalar_max(force):
+            stepper = FlowStepper(m, policy_by_name(policy), seed=seed)
+            stepper.add_jobs(list(trace.jobs))
+            if steps:
+                step_through(stepper)
+            else:
+                stepper.drain()
+            return full_record(stepper.result())
+
+    assert record(SCALAR) == record(ARRAY)

@@ -286,3 +286,36 @@ class TestWallClock:
             assert not resp["ok"]  # advance is a trace-clock op
 
         asyncio.run(with_server(config, scenario))
+
+    def test_idle_ticks_do_not_exhaust_the_event_budget(self):
+        # every tick parks the clock once; the idle server's budget is
+        # 1000 events, and it must keep serving past them
+        config = trace_config(clock="wall", tick=0.0005)
+
+        async def scenario(client, server):
+            deadline = asyncio.get_running_loop().time() + 30.0
+            while server.scheduler.stats()["events"] <= 1100:
+                assert asyncio.get_running_loop().time() < deadline
+                await asyncio.sleep(0.05)
+            stats = await client.call(op="stats")
+            assert stats["ok"], stats
+            sub = await client.call(op="submit", work=0.5)
+            assert sub["ok"] and sub["accepted"], sub
+
+        asyncio.run(with_server(config, scenario))
+
+
+class TestEventBudget:
+    def test_trace_clock_advances_do_not_exhaust_the_event_budget(self):
+        # one long job, then one advance per time unit: each advance is
+        # one parked iteration, past the 1060-event budget of one job
+        async def scenario(client, server):
+            sub = await client.call(op="submit", work=5000.0)
+            assert sub["accepted"]
+            for k in range(1, 1201):
+                resp = await client.call(op="advance", to=float(k))
+                assert resp["ok"], (k, resp)
+            q = await client.call(op="query", job_id=0)
+            assert q["state"] == "running"
+
+        asyncio.run(with_server(trace_config(m=1), scenario))
