@@ -21,6 +21,7 @@ from pathlib import Path
 
 from repro.analysis.experiments import scale_trace
 from repro.core.job import ParallelismMode
+from repro.faults.plan import random_crash_plan
 from repro.flowsim.engine import FlowSimConfig, FlowStepper
 from repro.flowsim.policies import policy_by_name
 from repro.workloads.traces import attach_dags, generate_trace
@@ -46,6 +47,8 @@ FLOW_SEQ_POLICIES = [
 FLOW_PAR_POLICIES = ["srpt", "swf", "rr", "laps", "drep-par"]
 
 WS_SCHEDULERS = ["drep", "steal-first", "admit-first", "swf", "rr"]
+#: the Figure 3 schedulers pinned at the paper's m = 16
+FIG3_SCHEDULERS = ["swf", "steal-first", "admit-first"]
 
 
 def _rng_digest(rng) -> str:
@@ -77,15 +80,32 @@ def flow_profiled_trace():
     return attach_dags(scale_trace(base, 100.0), parallelism=8, seed=44)
 
 
-def run_flow_case(trace, m, policy, seed, config=FlowSimConfig(), steps=False):
+def fig2_trace():
+    """Figure 2's shape at its widest machine: fully parallel finance jobs
+    at load 0.5 on m = 64, where DREP-par moves many processors at once."""
+    return generate_trace(
+        300, "finance", 0.5, 64, mode=ParallelismMode.FULLY_PARALLEL, seed=46
+    )
+
+
+def fig2_crash_plan():
+    """Seeded crash/recover windows over the whole of :func:`fig2_trace`."""
+    return random_crash_plan(64, 590.0, seed=47, crash_rate=0.002, mttr=20.0)
+
+
+def run_flow_case(
+    trace, m, policy, seed, config=FlowSimConfig(), steps=False, faults=None
+):
     """Run ``policy`` (a name or a Policy instance) and record the case.
 
     ``steps=True`` drives the run with one-event ``step()`` calls instead
-    of ``drain()``, which folds events where the run allows it.
+    of ``drain()``, which folds events where the run allows it.  A run
+    with a fault plan also records the policy's crash evictions and the
+    engine's fault summary.
     """
     if isinstance(policy, str):
         policy = policy_by_name(policy)
-    stepper = FlowStepper(m, policy, seed=seed, config=config)
+    stepper = FlowStepper(m, policy, seed=seed, config=config, faults=faults)
     for spec in trace.jobs:
         stepper.add_job(spec)
     if steps:
@@ -106,6 +126,9 @@ def run_flow_case(trace, m, policy, seed, config=FlowSimConfig(), steps=False):
     rng = getattr(policy, "_rng", None)
     if rng is not None:
         record["rng_digest"] = _rng_digest(rng)
+    if faults is not None:
+        record["fault_evictions"] = int(policy.fault_evictions)
+        record["faults"] = result.extra["faults"]
     return record
 
 
@@ -122,7 +145,19 @@ def ws_trace(n=60, m=4, parallelism=8, scale=50.0, seed=45):
     return attach_dags(scale_trace(base, scale), parallelism=parallelism, seed=seed)
 
 
-def run_ws_case(trace, m, scheduler_name, seed, config=WsConfig(), speeds=None):
+def fig3_trace():
+    """Figure 3's shape on its m = 16 machine, at a third of its job count."""
+    return ws_trace(n=100, m=16, parallelism=32, scale=400.0, seed=48)
+
+
+def fig3_crash_plan():
+    """Seeded worker crash/recover windows over :func:`fig3_trace`."""
+    return random_crash_plan(16, 4000.0, seed=49, crash_rate=0.001, mttr=100.0)
+
+
+def run_ws_case(
+    trace, m, scheduler_name, seed, config=WsConfig(), speeds=None, faults=None
+):
     rt = WsRuntime(
         trace,
         m,
@@ -130,10 +165,11 @@ def run_ws_case(trace, m, scheduler_name, seed, config=WsConfig(), speeds=None):
         seed=seed,
         config=config,
         speeds=speeds,
+        faults=faults,
     )
     result = rt.run()
     c = rt.counters
-    return {
+    record = {
         "flow_times": [float(x) for x in result.flow_times],
         "makespan": float(result.makespan),
         "work_steps": float(c.work_steps),
@@ -148,6 +184,11 @@ def run_ws_case(trace, m, scheduler_name, seed, config=WsConfig(), speeds=None):
         "node_migrations": int(c.node_migrations),
         "rng_digest": _rng_digest(rt.rng),
     }
+    if faults is not None:
+        record["crashes"] = int(c.crashes)
+        record["lost_work"] = float(c.lost_work)
+        record["dead_steps"] = int(c.dead_steps)
+    return record
 
 
 def ws_grid_cells():
@@ -183,6 +224,11 @@ def main() -> None:
         seed=7,
         config=FlowSimConfig(use_profiles=True),
     )
+    fig2 = fig2_trace()
+    flow["fig2/drep-par/m64"] = run_flow_case(fig2, 64, "drep-par", seed=7)
+    flow["fig2/drep-par/m64/crash"] = run_flow_case(
+        fig2, 64, "drep-par", seed=7, faults=fig2_crash_plan()
+    )
     (DATA_DIR / "golden_flowsim.json").write_text(
         json.dumps(flow, indent=1, sort_keys=True)
     )
@@ -203,6 +249,12 @@ def main() -> None:
 
     ws["drep/hetero"] = run_ws_case(
         trace, 4, "drep", seed=9, speeds=np.array([2.0, 1.0, 1.0, 0.5])
+    )
+    fig3 = fig3_trace()
+    for name in FIG3_SCHEDULERS:
+        ws[f"fig3/{name}/m16"] = run_ws_case(fig3, 16, name, seed=9)
+    ws["fig3/steal-first/m16/crash"] = run_ws_case(
+        fig3, 16, "steal-first", seed=9, faults=fig3_crash_plan()
     )
     (DATA_DIR / "golden_wsim.json").write_text(
         json.dumps(ws, indent=1, sort_keys=True)

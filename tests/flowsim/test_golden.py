@@ -56,6 +56,7 @@ def test_golden_covers_all_cases():
         {f"seq/{p}" for p in gen_goldens.FLOW_SEQ_POLICIES}
         | {f"par/{p}" for p in gen_goldens.FLOW_PAR_POLICIES}
         | {"seq/drep/speed2", "profiled/srpt"}
+        | {"fig2/drep-par/m64", "fig2/drep-par/m64/crash"}
     )
     assert expected == set(GOLDEN)
 
@@ -88,6 +89,30 @@ def test_profiled_bit_for_bit():
         config=FlowSimConfig(use_profiles=True),
     )
     assert json.loads(json.dumps(got)) == GOLDEN["profiled/srpt"]
+
+
+# -- DREP-par at Figure 2's widest machine ----------------------------------
+#
+# At m = 64 an arrival's coin flips and a completion's re-draws move many
+# processors at once; the fault case adds crash evictions and recovery
+# re-draws.  Both backends must hit the goldens.
+
+
+@pytest.fixture(scope="module")
+def fig2_trace():
+    return gen_goldens.fig2_trace()
+
+
+@pytest.mark.parametrize("crash", [False, True], ids=["plain", "crash"])
+@pytest.mark.parametrize("force", [SCALAR, ARRAY], ids=["lists", "arrays"])
+def test_fig2_drep_par_m64_bit_for_bit(fig2_trace, crash, force):
+    key = "fig2/drep-par/m64" + ("/crash" if crash else "")
+    faults = gen_goldens.fig2_crash_plan() if crash else None
+    with scalar_max(force):
+        got = gen_goldens.run_flow_case(
+            fig2_trace, 64, "drep-par", seed=7, faults=faults
+        )
+    assert json.loads(json.dumps(got)) == GOLDEN[key]
 
 
 @pytest.mark.parametrize("policy", ["srpt", "rr", "drep", "setf", "wdrep"])

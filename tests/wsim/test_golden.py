@@ -42,14 +42,36 @@ CASES = {
     "drep/hetero": ("drep", WsConfig(), np.array([2.0, 1.0, 1.0, 0.5])),
 }
 
+#: Figure 3's schedulers on its m = 16 machine: key -> (scheduler, crash?)
+FIG3_CASES = {
+    **{
+        f"fig3/{name}/m16": (name, False)
+        for name in gen_goldens.FIG3_SCHEDULERS
+    },
+    "fig3/steal-first/m16/crash": ("steal-first", True),
+}
+
 
 @pytest.fixture(scope="module")
 def trace():
     return gen_goldens.ws_trace()
 
 
+@pytest.fixture(scope="module")
+def fig3_trace():
+    return gen_goldens.fig3_trace()
+
+
 def test_golden_covers_all_cases():
-    assert set(CASES) == set(GOLDEN)
+    assert set(CASES) | set(FIG3_CASES) == set(GOLDEN)
+
+
+@pytest.mark.parametrize("key", sorted(FIG3_CASES))
+def test_fig3_bit_for_bit(fig3_trace, key):
+    scheduler, crash = FIG3_CASES[key]
+    faults = gen_goldens.fig3_crash_plan() if crash else None
+    got = gen_goldens.run_ws_case(fig3_trace, 16, scheduler, seed=9, faults=faults)
+    assert json.loads(json.dumps(got)) == GOLDEN[key]
 
 
 @pytest.mark.parametrize("key", sorted(CASES))
