@@ -38,6 +38,10 @@ _FREE = -1
 #: sentinel for a crashed processor (repro.faults); excluded from coin
 #: flips and re-draws until its ``recover`` event restores it to _FREE
 _DOWN = -2
+#: batches up to this size take one scalar numpy call per processor —
+#: table reads and stores, generator draws — since one vectorized call's
+#: fixed cost is about that of four scalar ones
+_SCALAR_MOVES = 4
 
 
 def _served_positions(job_ids: np.ndarray, assigned: np.ndarray) -> np.ndarray:
@@ -173,38 +177,66 @@ class _DrepBase(Policy):
         assert self._assignment is not None
         return (self._assignment == job_id).nonzero()[0]
 
-    def _assign(self, proc: int, job_id: int, preempt: bool) -> None:
-        """Move processor ``proc`` onto ``job_id``, updating counters."""
-        assert self._assignment is not None
+    def _move(self, procs: list[int], targets: list[int], preempt: bool) -> None:
+        """Move processor ``procs[i]`` onto job ``targets[i]``, for each ``i``.
+
+        One pass leaves the table, ``_procs_of`` (list and key order
+        included), ``_last_proc`` and every counter exactly as moving the
+        processors one at a time, in the given order, would.  ``procs``
+        and ``targets`` are equal-length lists of ints, ``procs`` without
+        repeats; a move onto the job a processor already runs is a no-op.
+        With ``preempt``, a move off anything but a free processor counts
+        as a preemption.
+
+        The table is read and written once per processor through scalar
+        indexing for up to ``_SCALAR_MOVES`` processors, and once per
+        batch through an index array above that.
+        """
         assignment = self._assignment
-        old = int(assignment[proc])
-        if old == job_id:
-            return
-        if preempt and old != _FREE:
-            self._preemptions += 1
-        self._switches += 1
-        assignment[proc] = job_id
+        if len(procs) == 1:
+            # the common case (DrepSequential, faults, serving), kept as
+            # cheap as a plain scalar read and store
+            proc = procs[0]
+            new = targets[0]
+            moves = ((proc, int(assignment[proc]), new),)
+            assignment[proc] = new
+        elif len(procs) <= _SCALAR_MOVES:
+            moves = [(p, int(assignment[p]), t) for p, t in zip(procs, targets)]
+            for p, t in zip(procs, targets):
+                assignment[p] = t
+        else:
+            idx = np.array(procs)
+            moves = zip(procs, assignment[idx].tolist(), targets)
+            assignment[idx] = targets
         procs_of = self._procs_of
-        if old >= 0:
-            self._rate_dirty.add(old)
-            held = procs_of[old]
-            held.remove(proc)
-            if not held:
-                del procs_of[old]
-        else:
-            self._n_assigned += 1
-        self._rate_dirty.add(job_id)
-        if job_id in procs_of:
-            procs_of[job_id].append(proc)
-        else:
-            procs_of[job_id] = [proc]
-        seen = self._last_proc.get(job_id)
-        if seen is None:
-            self._last_proc[job_id] = {proc}
-        else:
-            if proc not in seen:
+        dirty = self._rate_dirty
+        last = self._last_proc
+        for proc, old, new in moves:
+            if old == new:
+                continue
+            if preempt and old != _FREE:
+                self._preemptions += 1
+            self._switches += 1
+            if old >= 0:
+                dirty.add(old)
+                held = procs_of[old]
+                held.remove(proc)
+                if not held:
+                    del procs_of[old]
+            else:
+                self._n_assigned += 1
+            dirty.add(new)
+            held = procs_of.get(new)
+            if held is None:
+                procs_of[new] = [proc]
+            else:
+                held.append(proc)
+            seen = last.get(new)
+            if seen is None:
+                last[new] = {proc}
+            elif proc not in seen:
                 self._migrations += 1
-            seen.add(proc)
+                seen.add(proc)
 
     def _release_procs_of(self, job_id: int) -> list[int]:
         """Free every processor of ``job_id``; ascending processor order."""
@@ -215,8 +247,11 @@ class _DrepBase(Policy):
             return []
         procs.sort()
         assignment = self._assignment
-        for p in procs:
-            assignment[p] = _FREE
+        if len(procs) <= _SCALAR_MOVES:
+            for p in procs:
+                assignment[p] = _FREE
+        else:
+            assignment[procs] = _FREE
         self._n_assigned -= len(procs)
         return procs
 
@@ -255,7 +290,7 @@ class _DrepBase(Policy):
             if evicted >= 0 and evicted not in self._procs_of:
                 free = (self._assignment == _FREE).nonzero()[0]
                 if free.size:
-                    self._assign(int(free[0]), evicted, preempt=False)
+                    self._move([int(free[0])], [evicted], preempt=False)
         elif kind == "recover":
             proc = int(event["proc"])
             self._assignment[proc] = _FREE
@@ -311,9 +346,10 @@ class DrepSequential(_DrepBase):
     def on_arrival(self, job_id: int, view: ActiveView) -> None:
         assert self._assignment is not None and self._rng is not None
         if self._n_assigned + self._n_down < self._assignment.size:
-            # a free processor takes the new job; no preemption
-            free = (self._assignment == _FREE).nonzero()[0]
-            self._assign(int(free[0]), job_id, preempt=False)
+            # the lowest free processor takes the new job; no preemption.
+            # A list scan beats a numpy mask at the machine sizes served.
+            free = self._assignment.tolist().index(_FREE)
+            self._move([free], [job_id], preempt=False)
             return
         prob = self.arrival_switch_prob
         if prob is None:
@@ -332,45 +368,36 @@ class DrepSequential(_DrepBase):
         # tie-break: exactly one of the coin winners switches (Sec. III,
         # "breaking ties arbitrarily to give the job at most one processor")
         proc = int(winners[self._rng.integers(winners.size)])
-        self._assign(proc, job_id, preempt=True)
+        self._move([proc], [job_id], preempt=True)
 
     def on_completion(self, job_id: int, view: ActiveView) -> None:
         assert self._assignment is not None and self._rng is not None
         freed = self._release_procs_of(job_id)
         if not freed:
             return
+        (proc,) = freed  # a sequential job holds at most one processor
         job_ids = view.job_ids
-        n = int(job_ids.size)
-        rng = self._rng
         procs_of = self._procs_of
-        for proc in freed:
-            # uniform draw from the unassigned queue by order statistics:
-            # the k-th active id skipping the (at most m) assigned
-            # positions — same draw as materializing the unassigned array
-            # and indexing it, without the O(n) mask/gather per event.
-            # ``_procs_of`` keys are exactly the assigned jobs (each
-            # sequential job holds one processor, and a held job is
-            # always active), so one binary-search pass finds their
-            # positions without scanning the processor table.
-            n_held = len(procs_of)
-            if n_held:
-                plist = sorted(
-                    job_ids.searchsorted(
-                        np.fromiter(procs_of, np.int64, n_held)
-                    ).tolist()
-                )
-            else:
-                plist = []
-            k = n - n_held
-            if k == 0:
-                continue  # processor stays free
-            idx = int(rng.integers(k))
-            for p in plist:
+        n_held = len(procs_of)
+        k = int(job_ids.size) - n_held
+        if k == 0:
+            return  # processor stays free
+        # uniform draw from the unassigned queue by order statistics: the
+        # k-th active id skipping the (at most m) assigned positions —
+        # same draw as materializing the unassigned array and indexing
+        # it, without the O(n) mask/gather per event.  ``_procs_of`` keys
+        # are exactly the assigned jobs (each holds one processor, and a
+        # held job is always active), so one binary-search pass finds
+        # their positions without scanning the processor table.
+        idx = int(self._rng.integers(k))
+        if n_held:
+            held = job_ids.searchsorted(np.fromiter(procs_of, np.int64, n_held))
+            for p in sorted(held.tolist()):
                 if p <= idx:
                     idx += 1
                 else:
                     break
-            self._assign(proc, int(job_ids[idx]), preempt=False)
+        self._move([proc], [int(job_ids[idx])], preempt=False)
 
     def _redraw_recovered(self, proc: int, view: ActiveView) -> None:
         # same rule as a processor freed by a completion: draw uniformly
@@ -379,7 +406,7 @@ class DrepSequential(_DrepBase):
         unassigned = _unassigned_ids(view.job_ids, self._assignment)
         if unassigned.size:
             pick = int(unassigned[self._rng.integers(unassigned.size)])
-            self._assign(int(proc), pick, preempt=False)
+            self._move([int(proc)], [pick], preempt=False)
 
     def rates(self, view: ActiveView) -> np.ndarray:
         assert self._assignment is not None
@@ -412,38 +439,53 @@ class DrepParallel(_DrepBase):
 
     def on_arrival(self, job_id: int, view: ActiveView) -> None:
         assert self._assignment is not None and self._rng is not None
-        if self._n_assigned + self._n_down < self._assignment.size:
-            free = (self._assignment == _FREE).nonzero()[0]
-            for proc in free:
-                # idle processors exist only when the machine was empty;
-                # they all join the newcomer (work stealing spreads them
-                # internally)
-                self._assign(int(proc), job_id, preempt=False)
-        busy = (self._assignment >= 0).nonzero()[0]
-        busy = busy[self._assignment[busy] != job_id]
-        if busy.size == 0:
-            return
-        n_active = view.n  # includes the new job
-        flips = self._rng.random(busy.size) < self._switch_prob(n_active)
-        for proc in busy[flips]:
-            self._assign(int(proc), job_id, preempt=True)
+        assignment = self._assignment
+        # the busy processors flip their coins, in ascending order, in one
+        # draw; idle processors exist only when the machine was empty, and
+        # they all join the newcomer (work stealing spreads them
+        # internally) — as moves off a free processor, no preemptions
+        busy = (assignment >= 0).nonzero()[0]
+        busy = busy[assignment[busy] != job_id]
+        grant = []
+        if self._n_assigned + self._n_down < assignment.size:
+            grant = (assignment == _FREE).nonzero()[0].tolist()
+        if busy.size:
+            n_active = view.n  # includes the new job
+            flips = self._rng.random(busy.size) < self._switch_prob(n_active)
+            grant += busy[flips].tolist()
+        if grant:
+            self._move(grant, [job_id] * len(grant), preempt=True)
 
     def on_completion(self, job_id: int, view: ActiveView) -> None:
         assert self._assignment is not None and self._rng is not None
         freed = self._release_procs_of(job_id)
-        if view.n == 0:
-            return  # machine drained; processors stay free
-        for proc in freed:
-            pick = int(view.job_ids[self._rng.integers(view.n)])
-            self._assign(proc, pick, preempt=False)
+        if freed and view.n:  # on a drained machine they stay free
+            self._move(freed, self._draw_jobs(view, len(freed)), preempt=False)
 
     def _redraw_recovered(self, proc: int, view: ActiveView) -> None:
         # same rule as a processor freed by a completion: uniform over all
         # active jobs, stay free on an empty machine
         assert self._assignment is not None and self._rng is not None
         if view.n:
-            pick = int(view.job_ids[self._rng.integers(view.n)])
-            self._assign(int(proc), pick, preempt=False)
+            self._move([int(proc)], self._draw_jobs(view, 1), preempt=False)
+
+    def _draw_jobs(self, view: ActiveView, k: int) -> list[int]:
+        """``k`` uniform draws over the active jobs.
+
+        Above ``_SCALAR_MOVES`` draws, one ``integers(n, size=k)`` call
+        yields the values, and leaves the generator in the state, of
+        ``k`` scalar ``integers(n)`` calls (tests/wsim/test_rng_draws.py
+        pins this); ``integers(1)`` consumes no state, so a lone active
+        job needs no call at all.
+        """
+        job_ids = view.job_ids
+        n = job_ids.size
+        if n == 1:
+            return [int(job_ids[0])] * k
+        rng = self._rng
+        if k <= _SCALAR_MOVES:
+            return [int(job_ids[rng.integers(n)]) for _ in range(k)]
+        return job_ids[rng.integers(n, size=k)].tolist()
 
     def rates(self, view: ActiveView) -> np.ndarray:
         return self.rates_array(

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.flowsim.policies.base import ActiveView, Policy
 from repro.flowsim.policies.drep import (
+    _DOWN,
     _FREE,
     _DrepBase,
     _one_proc_rates,
@@ -120,7 +121,7 @@ class WDrep(_DrepBase):
         assert self._assignment is not None and self._rng is not None
         free = np.flatnonzero(self._assignment == _FREE)
         if free.size:
-            self._assign(int(free[0]), job_id, preempt=False)
+            self._move([int(free[0])], [job_id], preempt=False)
             return
         if self._weights is None:
             total = float(view.n)
@@ -128,27 +129,39 @@ class WDrep(_DrepBase):
         else:
             total = float(self._weights[view.job_ids].sum())
             share = self._weight(job_id) / total
-        flips = self._rng.random(self._assignment.size) < share
-        winners = np.flatnonzero(flips)
+        if self._n_down:
+            # crashed processors flip no coins (as in DrepSequential)
+            up = np.flatnonzero(self._assignment != _DOWN)
+            winners = up[np.flatnonzero(self._rng.random(up.size) < share)]
+        else:
+            flips = self._rng.random(self._assignment.size) < share
+            winners = np.flatnonzero(flips)
         if winners.size == 0:
             return
         proc = int(winners[self._rng.integers(winners.size)])
-        self._assign(proc, job_id, preempt=True)
+        self._move([proc], [job_id], preempt=True)
 
     def on_completion(self, job_id: int, view: ActiveView) -> None:
-        assert self._assignment is not None and self._rng is not None
         freed = self._release_procs_of(job_id)
-        for proc in freed:
-            unassigned = _unassigned_ids(view.job_ids, self._assignment)
-            if unassigned.size == 0:
-                continue
-            if self._weights is None:
-                pick = int(unassigned[self._rng.integers(unassigned.size)])
-            else:
-                w = self._weights[unassigned]
-                p = w / w.sum()
-                pick = int(self._rng.choice(unassigned, p=p))
-            self._assign(int(proc), pick, preempt=False)
+        if freed:
+            (proc,) = freed  # a sequential job holds at most one processor
+            self._redraw_recovered(proc, view)
+
+    def _redraw_recovered(self, proc: int, view: ActiveView) -> None:
+        """Seat the free ``proc`` on a weighted draw from the jobs without
+        a processor (a completion's rule, and a recovery's); it stays
+        free when there is none."""
+        assert self._assignment is not None and self._rng is not None
+        unassigned = _unassigned_ids(view.job_ids, self._assignment)
+        if unassigned.size == 0:
+            return
+        if self._weights is None:
+            pick = int(unassigned[self._rng.integers(unassigned.size)])
+        else:
+            w = self._weights[unassigned]
+            p = w / w.sum()
+            pick = int(self._rng.choice(unassigned, p=p))
+        self._move([int(proc)], [pick], preempt=False)
 
     def rates(self, view: ActiveView) -> np.ndarray:
         assert self._assignment is not None

@@ -332,13 +332,26 @@ class SubprocessShard:
         self._rfile = self._sock.makefile("rb")
 
     def call(self, request: dict) -> dict:
+        """One request/reply round trip.
+
+        Any socket error on the way, a read timeout included, leaves the
+        stream at an unknown position (a timed-out socket file refuses
+        every later read), so the connection is dropped and the failure
+        raised as :class:`ShardError`; :meth:`restart` reconnects.
+        """
         line = json.dumps(request).encode() + b"\n"
         _check_line(self, line)
         with self._wire_lock:
             if self._sock is None:
                 raise ShardError(f"shard {self.name} is not connected")
-            self._sock.sendall(line)
-            line = self._rfile.readline()
+            try:
+                self._sock.sendall(line)
+                line = self._rfile.readline()
+            except OSError as exc:
+                self._drop_connection()
+                raise ShardError(
+                    f"shard {self.name} round trip failed: {exc}"
+                ) from exc
             if not line:
                 raise ShardError(f"shard {self.name} closed the connection")
             return json.loads(line)
@@ -381,9 +394,14 @@ class SubprocessShard:
         times with bounded exponential backoff and seeded jitter (the
         same :func:`~repro.serve.loadgen.retry_delay` discipline the wire
         client uses); the dead child is reaped before every attempt so a
-        half-started process never leaks.
+        half-started process never leaks.  A child that is still running
+        but unreachable (say, its connection dropped after a read timeout)
+        is SIGKILLed first, as :meth:`kill` does: the journal, not the
+        process, holds the shard's state.
         """
         with self._wire_lock:
+            if self._proc is not None and self._proc.poll() is None:
+                self.kill()
             self.reap()
             last_exc: Exception | None = None
             for attempt in range(1, self.max_restart_attempts + 1):

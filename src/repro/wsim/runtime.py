@@ -757,7 +757,12 @@ class WsRuntime:
         """Workers currently alive — what schedulers must iterate.
 
         Identical to :attr:`workers` (the same list object) when no fault
-        plan is attached, so the no-fault path pays nothing.
+        plan is attached, so the no-fault path pays nothing.  Contract:
+        the runtime never mutates this list in place; every membership
+        change (crash, drain, revive, fault sweep) rebinds it to a new
+        list, so a scheduler may cache anything derived from it for as
+        long as the same object comes back
+        (:meth:`~repro.wsim.schedulers.base.WsScheduler.victims` does).
         """
         return self._live_workers
 

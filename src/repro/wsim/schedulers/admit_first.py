@@ -53,7 +53,7 @@ class AdmitFirstWS(WsScheduler):
             job = self.queue.popleft()
             self.admit_to_worker(worker, job)
             return
-        victims = [w for w in rt.up_workers() if w is not worker]
+        victims = self.victims(worker)
         if not victims:
             self.idle(worker)
             return

@@ -43,6 +43,8 @@ class WsScheduler(abc.ABC):
         """Bind to a runtime at the start of a run."""
         self.rt = rt
         self.rng = rt.rng
+        self._victims_live: "list[Worker] | None" = None
+        self._victims: "list[list[Worker] | None]" = []
 
     @abc.abstractmethod
     def on_arrival(self, job: JobRun) -> None:
@@ -135,6 +137,24 @@ class WsScheduler(abc.ABC):
             for src in sources[1:]:
                 worker.dq.push_bottom((job, src))
         self.rt.counters.admissions += 1
+
+    def victims(self, worker: Worker) -> "list[Worker]":
+        """The live workers other than ``worker``, in worker order.
+
+        Cached per worker and rebuilt only when
+        :meth:`WsRuntime.up_workers` returns a different list object,
+        which the runtime guarantees on every membership change.
+        """
+        live = self.rt.up_workers()
+        if live is not self._victims_live:
+            self._victims_live = live
+            self._victims = [None] * len(self.rt.workers)
+        victims = self._victims[worker.wid]
+        if victims is None:
+            victims = self._victims[worker.wid] = [
+                w for w in live if w is not worker
+            ]
+        return victims
 
     def idle(self, worker: Worker) -> None:
         """Record a wasted step (nothing to steal, nothing to admit)."""

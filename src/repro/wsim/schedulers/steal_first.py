@@ -69,7 +69,7 @@ class StealFirstWS(WsScheduler):
     def out_of_work(self, worker: Worker) -> None:
         rt = self.rt
         budget = self.steal_budget_factor * rt.m
-        victims = [w for w in rt.up_workers() if w is not worker]
+        victims = self.victims(worker)
         exhausted = worker.failed_steals >= budget or not victims
         if exhausted and self._admit(worker):
             return

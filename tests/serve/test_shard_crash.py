@@ -10,10 +10,13 @@ crashed run is byte-identical to an uninterrupted run of the same trace.
 
 from __future__ import annotations
 
+import os
+import signal
+
 import pytest
 
 from repro.serve.loadgen import tenant_labels
-from repro.serve.shard import build_subprocess_router
+from repro.serve.shard import ShardError, ShardSupervisor, build_subprocess_router
 from repro.serve.tenancy import TenancyConfig
 from repro.workloads.traces import generate_trace
 
@@ -29,10 +32,11 @@ def _workload():
     return list(zip(jobs, tenants))
 
 
-def _run(journal_root, crash: bool, batch: int = 1) -> bytes:
+def _run(journal_root, crash: bool, batch: int = 1, between=None) -> bytes:
     """Submit the workload, ``batch`` jobs per router call (1 = one
     :meth:`submit` each, more = :meth:`submit_batch`), optionally killing
-    and restarting the victim shard between calls at the halfway mark."""
+    and restarting the victim shard between calls at the halfway mark.
+    ``between(router)``, when given, runs at the halfway mark instead."""
     workload = _workload()
     half = len(workload) // 2
     assert half % batch == 0  # the crash falls between two calls
@@ -48,6 +52,8 @@ def _run(journal_root, crash: bool, batch: int = 1) -> bytes:
     routed_to: set[str] = set()
     try:
         for lo in range(0, len(workload), batch):
+            if between is not None and lo == half:
+                between(router)
             if crash and lo == half:
                 victim = router.shards[VICTIM]
                 victim.kill()
@@ -93,3 +99,30 @@ def test_sigkill_between_batches_recovers_bit_exact(tmp_path):
     crashed = _run(tmp_path / "crashed", crash=True, batch=5)
     clean = _run(tmp_path / "clean", crash=False)
     assert crashed == clean
+
+
+def _time_out_one_read(router) -> None:
+    """Force one read timeout on a read-only op of the live victim, then
+    let the supervisor find it: it must revive the shard from its
+    journal, not quarantine it."""
+    victim = router.shards[VICTIM]
+    pid = victim._proc.pid
+    os.kill(pid, signal.SIGSTOP)  # the reply cannot come in time
+    try:
+        victim._sock.settimeout(0.05)
+        with pytest.raises(ShardError, match="round trip failed"):
+            victim.call({"op": "stats"})
+    finally:
+        os.kill(pid, signal.SIGCONT)
+    assert victim._sock is None  # the timed-out connection is gone
+    assert victim.ping() is False
+    supervisor = ShardSupervisor(router)
+    assert supervisor.check_once()[VICTIM] == "revived"
+    assert not supervisor.failed
+    assert victim.call({"op": "hello"})["ok"]
+
+
+def test_read_timeout_revives_a_live_shard(tmp_path):
+    timed_out = _run(tmp_path / "timed-out", crash=False, between=_time_out_one_read)
+    clean = _run(tmp_path / "clean", crash=False)
+    assert timed_out == clean

@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.job import ParallelismMode
 from repro.core.metrics import ScheduleResult
+from repro.faults.plan import random_crash_plan
 from repro.flowsim.engine import simulate
-from repro.flowsim.policies import DrepSequential
+from repro.flowsim.policies import DrepParallel, DrepSequential, WDrep
 from repro.theory.preemptions import PreemptionBudget, check_theorem_1_2
 from repro.workloads.traces import generate_trace
 
@@ -55,3 +57,80 @@ class TestLiveBudgets:
         assert budget.within_switch_bound
         # expected preemptions per job <= 1 (allow statistical slack)
         assert budget.sequential_ratio() <= 1.2
+
+    @pytest.mark.parametrize("m", [8, 64])
+    def test_parallel_drep_switch_bound(self, m):
+        # Figure 2's shape: fully parallel jobs, where an arrival's coin
+        # flips and a completion's re-draws move many processors at once
+        n = 3000
+        trace = generate_trace(
+            n, "finance", 0.5, m, mode=ParallelismMode.FULLY_PARALLEL, seed=m
+        )
+        r = simulate(trace, m, DrepParallel(), seed=m)
+        budget = check_theorem_1_2(r, n)
+        assert budget.observed_switches > n
+        assert budget.within_switch_bound
+
+
+def arrivals_only(cls):
+    """``cls`` with every hook but ``on_arrival`` checked not to preempt.
+
+    A crash eviction is not a preemption (it counts as a fault eviction),
+    so ``on_fault`` and the recovery re-draw must leave the count alone
+    too; ``arrival_preemptions`` sums what the arrivals did.
+    """
+
+    class Checked(cls):
+        arrival_preemptions = 0
+
+        def on_arrival(self, job_id, view):
+            before = self.preemptions
+            super().on_arrival(job_id, view)
+            self.arrival_preemptions += self.preemptions - before
+
+        def on_completion(self, job_id, view):
+            before = self.preemptions
+            super().on_completion(job_id, view)
+            assert self.preemptions == before
+
+        def on_fault(self, event, view):
+            before = self.preemptions
+            super().on_fault(event, view)
+            assert self.preemptions == before
+
+        def _redraw_recovered(self, proc, view):
+            before = self.preemptions
+            super()._redraw_recovered(proc, view)
+            assert self.preemptions == before
+
+    return Checked
+
+
+class TestPreemptionsOnlyAtArrivals:
+    """Theorem 1.2's premise: DREP preempts only when a job arrives."""
+
+    @pytest.mark.parametrize("crash", [False, True], ids=["plain", "crash"])
+    @pytest.mark.parametrize(
+        "cls, mode",
+        [
+            (DrepSequential, ParallelismMode.SEQUENTIAL),
+            (DrepParallel, ParallelismMode.FULLY_PARALLEL),
+            (WDrep, ParallelismMode.SEQUENTIAL),
+        ],
+        ids=["drep", "drep-par", "wdrep"],
+    )
+    @pytest.mark.parametrize("m", [3, 16])
+    def test_hooks_other_than_arrival_never_preempt(self, cls, mode, m, crash):
+        n = 400
+        trace = generate_trace(n, "finance", 0.8, m, mode=mode, seed=m)
+        faults = None
+        if crash:
+            horizon = trace.jobs[-1].release
+            faults = random_crash_plan(
+                m, horizon, seed=m, crash_rate=3.0 / horizon, mttr=horizon / 30
+            )
+        policy = arrivals_only(cls)()
+        r = simulate(trace, m, policy, seed=m, faults=faults)
+        assert r.preemptions == policy.arrival_preemptions > 0
+        if crash:
+            assert policy.fault_evictions > 0

@@ -1,9 +1,16 @@
-"""Pin the PCG64 stream facts the event-horizon kernel relies on.
+"""Pin the PCG64 stream facts the batched draws rely on.
 
-The runtime replays ``k`` skipped steal attempts as **one** batched
-victim draw (``WsRuntime._horizon_jump``) and skips the draw entirely
-for single-victim steals (``steal_within``, ``DrepWS.on_completion``).
-Both shortcuts are bit-exact only because of how numpy's ``Generator``
+Two simulators depend on them:
+
+* the work-stealing runtime replays ``k`` skipped steal attempts as
+  **one** batched victim draw (``WsRuntime._horizon_jump``) and skips the
+  draw entirely for single-victim steals (``steal_within``,
+  ``DrepWS.on_completion``);
+* flowsim's ``DrepParallel`` re-draws the ``k`` processors a completion
+  frees with **one** ``integers(n, size=k)`` call, and skips it when a
+  single job is left (``DrepParallel._draw_jobs``).
+
+These shortcuts are bit-exact only because of how numpy's ``Generator``
 consumes PCG64 state:
 
 * ``integers(1)`` returns 0 **without advancing the generator** — the
@@ -16,7 +23,8 @@ consumes PCG64 state:
 These are observed properties of numpy's implementation, not documented
 API guarantees — this module is the tripwire that fires if a numpy
 upgrade ever changes the stream, which would silently break the
-runtime's bulk-jump ≡ unit-step equivalence.
+runtime's bulk-jump ≡ unit-step equivalence and DREP-par's batched
+re-draw ≡ per-processor re-draw equivalence.
 """
 
 from __future__ import annotations
