@@ -27,22 +27,48 @@ Thresholds:
   keep the slope near 0 on this ladder, while a scalar pass that never
   hands over pays Python-level O(n) per event and fits ≈0.7–0.9.
 
-Exits non-zero on the first violated bound.  Needs only the package —
-no pytest.
+The same run pins the frozen `active_scaling` row of `BENCH_10.json`:
+over `SCALING_POLICIES` the ladder's summed `events`, summed `n_jobs`
+(active-set sizes) and mean of the per-rung `mean_flow` must equal that
+row bit for bit.  The row was recorded at seed 311; the order-driven
+policies draw no randomness, so seed 0 reproduces it.
+
+Exits non-zero if any bound or pin fails.  Needs only the package — no
+pytest.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.perf.scaling import measure_scaling  # noqa: E402
+from repro.perf.scaling import SCALING_POLICIES, measure_scaling  # noqa: E402
 
 LADDER = (100, 1_000, 10_000)
 BOUNDS = {"srpt": 0.5, "sjf": 0.5, "fifo": 0.5, "laps": 0.85, "rr": 0.5, "drep": 0.5}
+
+
+def pin_mismatches(results: dict) -> list[str]:
+    """Where the ladder's summary differs from BENCH_10's `active_scaling`."""
+    want = json.loads((REPO / "BENCH_10.json").read_text())["benches"][
+        "active_scaling"
+    ]
+    points = [p for key in SCALING_POLICIES for p in results[key]["points"]]
+    flows = [p["mean_flow"] for p in points]
+    got = {
+        "events": sum(p["events"] for p in points),
+        "n_jobs": sum(p["n_active"] for p in points),
+        "mean_flow": sum(flows) / len(flows),
+    }
+    return [
+        f"{key} {value!r} != BENCH_10 {want[key]!r}"
+        for key, value in got.items()
+        if value != want[key]
+    ]
 
 
 def main() -> int:
@@ -70,6 +96,13 @@ def main() -> int:
             "the active-set size",
             file=sys.stderr,
         )
+    pin = pin_mismatches(results)
+    for line in pin:
+        print(f"active_scaling pin: {line}  FAIL")
+    if pin:
+        status = 1
+    else:
+        print("active_scaling pin: events, n_jobs and mean_flow equal BENCH_10  ok")
     return status
 
 

@@ -4,16 +4,21 @@
 Pushes 100k generated jobs through `simulate_stream` without ever
 materializing the trace and requires the process peak RSS (via
 `resource.getrusage`) to stay under a ceiling far below what the dense
-arrays for that trace would need.  Then spot-checks the wsim streaming
-driver and the `drep-sim stream` CLI on the sanitized SWF fixture.
+arrays for that trace would need.  Then replays the frozen
+`flowsim_stream_1m` row of `BENCH_10.json` (10⁶ jobs, SRPT, m=16) and
+requires its `events`, `n_jobs` and `mean_flow` bit for bit, and
+spot-checks the wsim streaming driver and the `drep-sim stream` CLI on
+the sanitized SWF fixture.
 
-This is the bounded-RAM contract in the exact form users rely on: a
-stream of n jobs must cost O(active jobs), not O(n).  Exits non-zero on
-the first violation.  Needs only the package itself — no pytest.
+The ceiling catches a materialized trace, not a slow per-job leak:
+flatness in the job count is tier-1's
+`test_memory_stays_flat_with_job_count`.  Exits non-zero on the first
+violation.  Needs only the package itself — no pytest.
 """
 
 from __future__ import annotations
 
+import json
 import resource
 import subprocess
 import sys
@@ -69,6 +74,29 @@ def main() -> None:
     print(
         f"stream-smoke: flowsim {N_JOBS} jobs, mean_flow="
         f"{res.mean_flow:.4f}, peak RSS {after_flowsim:.1f} MB"
+    )
+
+    # -- BENCH_10's flowsim_stream_1m row: 10^6 jobs, bit for bit -------
+    want = json.loads((REPO / "BENCH_10.json").read_text())["benches"][
+        "flowsim_stream_1m"
+    ]
+    big = simulate_stream(
+        generate_stream(1_000_000, "exponential", 0.8, 16, seed=309),
+        16,
+        policy_by_name("srpt"),
+        seed=309,
+    )
+    got = {
+        "events": big.extra["events"],
+        "n_jobs": big.n_jobs,
+        "mean_flow": big.mean_flow,
+    }
+    for key, value in got.items():
+        if value != want[key]:
+            fail(f"flowsim_stream_1m {key} {value!r} != BENCH_10 {want[key]!r}")
+    print(
+        f"stream-smoke: flowsim_stream_1m equals BENCH_10 "
+        f"(events {got['events']}, mean_flow {got['mean_flow']!r})"
     )
 
     # -- wsim: lazy DAG attachment feeding the work-stealing runtime ----

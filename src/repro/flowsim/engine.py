@@ -187,9 +187,9 @@ class FlowSimConfig:
     order maintenance, so promoting immediately would *slow down*
     low-concurrency runs — the default sits just under the measured
     crossover (~1.5k for SRPT and FIFO alike).  ``0`` promotes at
-    construction (the pure-incremental mode the scaling benches measure);
-    a threshold above the number of jobs keeps a run dense throughout
-    (the comparator of the A/B benches and the equivalence suites).  The
+    construction (the pure-incremental mode ``repro.perf.scaling``
+    measures); a threshold above the number of jobs keeps a run dense
+    throughout (the comparator of the equivalence suites).  The
     switch is unobservable in results: both paths are bit-for-bit equal,
     so a promoted run composes two identical trajectory prefixes.
     """

@@ -27,9 +27,9 @@ worker).
 
 They are plain integer attributes on a ``__slots__`` object — an
 increment is one attribute add, cheap enough to leave on permanently.
-Wall-clock phase timers are *not* free, so they are opt-in: engines time
-whole runs (one ``perf_counter`` pair) and only the bench harness times
-phases.
+Wall-clock phase timers are *not* free, so engines time only whole runs
+(one ``perf_counter`` pair); per-layer time comes from the external
+tracer in ``bench/``.
 """
 
 from __future__ import annotations
@@ -139,12 +139,6 @@ class PerfCounters:
                 self.py_peak_mb = peak_mb
 
     # -- reporting ---------------------------------------------------------
-
-    def events_per_sec(self) -> float | None:
-        """Throughput over the timed window; ``None`` before any timing."""
-        if self.wall_s <= 0:
-            return None
-        return self.events / self.wall_s
 
     def as_dict(self) -> dict:
         """JSON-compatible snapshot (only non-zero fields, keeps extras lean)."""

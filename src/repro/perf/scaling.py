@@ -65,7 +65,6 @@ def measure_scaling(
     policies: Sequence[str] = SCALING_POLICIES,
     *,
     m: int = 8,
-    use_incremental: bool = True,
     repeats: int = 1,
     seed: int = 0,
 ) -> dict[str, dict]:
@@ -75,9 +74,6 @@ def measure_scaling(
     (``2 * n_active``: one arrival and one completion per job — fixed
     per rung by construction, so rungs are comparable across PRs),
     microseconds per event, and the incremental structure counters.
-    ``use_incremental=False`` measures the dense comparator on the same
-    ladder — the A/B behind the exponent table in
-    ``docs/performance.md``.
     """
     from repro.flowsim.engine import FlowSimConfig
     from repro.flowsim.stream import simulate_stream
@@ -90,11 +86,8 @@ def measure_scaling(
             # incremental path at every rung, not the adaptive hybrid
             # (small rungs would otherwise stay dense below the default
             # incremental_min_active and pollute the fitted exponent with
-            # the dense path's slope); the dense comparator puts the
-            # threshold above the rung's depth instead
-            config = FlowSimConfig(
-                incremental_min_active=0 if use_incremental else n + 1
-            )
+            # the dense path's slope)
+            config = FlowSimConfig(incremental_min_active=0)
             best = float("inf")
             best_perf: dict = {}
             events = 0

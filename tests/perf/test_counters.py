@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.job import JobSpec, ParallelismMode
 from repro.flowsim.engine import FlowSimConfig, simulate
 from repro.flowsim.policies import SRPT, RoundRobin
@@ -24,15 +22,10 @@ class TestPerfCounters:
         perf = PerfCounters()
         perf.start()
         perf.stop()
+        first = perf.wall_s
         perf.start()
         perf.stop()
-        assert perf.wall_s >= 0
-        perf.events = 10
-        if perf.wall_s > 0:
-            assert perf.events_per_sec() == pytest.approx(10 / perf.wall_s)
-
-    def test_events_per_sec_none_before_timing(self):
-        assert PerfCounters().events_per_sec() is None
+        assert perf.wall_s >= first >= 0
 
     def test_stop_without_start_is_noop(self):
         perf = PerfCounters()
