@@ -42,9 +42,11 @@ calendar), and whether one call folds a whole run of events or handles
 one.  Plain runs with a small active set run the same iterations on
 Python lists instead (:meth:`FlowStepper._run_scalar`, fed by
 :meth:`~repro.flowsim.policies.base.Policy.rates_scalar`), where numpy's
-per-call overhead would dominate arrays of a few elements; a pass
-switches between the two representations as the set grows and shrinks
-past :data:`SCALAR_MAX_ACTIVE`.  Policies declaring
+per-call overhead would dominate arrays of a few elements; the lists
+then own the active set across calls, and the buffers catch up only
+when something outside that loop reads them.  A pass switches between
+the two representations as the set grows and shrinks past
+:data:`SCALAR_MAX_ACTIVE`.  Policies declaring
 :attr:`~repro.flowsim.policies.base.Policy.rates_stable` have their rate
 vector reused until the composition of the active set changes.
 ``ScheduleResult.extra["perf"]`` reports what the caches did
@@ -120,6 +122,45 @@ def _make_view(
         speed=speed,
     )
     return view
+
+
+class _ListView(ActiveView):
+    """The :class:`ActiveView` the scalar loop hands its arrival and
+    completion hooks.
+
+    It holds the loop's lists and builds a field's array the first time
+    the hook reads it, so a hook that reads only ``n`` (DREP's arrivals)
+    builds none and no hook makes the loop write the buffers.  A built
+    field is the array :meth:`FlowStepper._view` would give on the
+    buffers: aligned, ids ascending, same dtype and values.
+    """
+
+    #: field -> (index into ``(ids, rem, caps, tol, work, rel)``, dtype)
+    _COLUMNS = {
+        "job_ids": (0, np.int64),
+        "remaining": (1, float),
+        "caps": (2, float),
+        "work": (4, float),
+        "release": (5, float),
+    }
+
+    def __init__(self, t: float, m: int, lists: tuple, speed: float) -> None:
+        self.__dict__.update(t=t, m=m, speed=speed, _lists=lists)
+
+    @property
+    def n(self) -> int:
+        return len(self._lists[0])
+
+    def __getattr__(self, name: str):
+        # reached only for a field not built yet: built ones, t, m and
+        # speed sit in __dict__
+        try:
+            k, dtype = self._COLUMNS[name]
+        except KeyError:
+            raise AttributeError(name) from None
+        arr = np.array(self._lists[k], dtype=dtype)
+        self.__dict__[name] = arr
+        return arr
 
 
 def default_max_events(n: int) -> int:
@@ -365,7 +406,22 @@ class FlowStepper:
         refreshed only at completions/aborts and on :meth:`state_dict`.
         ``self._act_ids`` (a plain id list set by ``__init__`` /
         :meth:`from_state_dict`) seeds the buffers here and is then
-        retired — the buffers are the only runtime truth.
+        retired.
+
+        The scalar loop (:meth:`_run_scalar`) keeps the same six columns
+        as Python lists, ``_lists = (ids, rem, caps, tol, work, rel)``,
+        and keeps them from one call to the next.  One representation
+        owns the active set at a time:
+
+        * ``_lists is None``: the buffers own it (the state after this
+          method, and after every pass of :meth:`_run_array`);
+        * ``_lists`` set: the lists own it.  ``_buffers_stale`` is then
+          true while the lists hold changes the buffers lack.
+
+        Code that reads the buffers calls :meth:`_sync_buffers` first,
+        the one place that copies the lists into them; a pass of
+        :meth:`_run_array`, the code that changes them, syncs and then
+        drops the lists.  ``_na`` counts the active set in either state.
         """
         cap = self._release.size
         self._a_ids = np.zeros(cap, dtype=np.int64)
@@ -398,6 +454,8 @@ class FlowStepper:
             self._a_work[k] = self._work[j - base]
             self._a_rel[k] = self._release[j - base]
         self._act_ids = None  # superseded by the SoA buffers
+        self._lists: tuple | None = None
+        self._buffers_stale = False
 
         # the one rate cache: ``(rates, rsum)`` on the dense paths, the
         # order walk's ``(positions, rates, rsum)`` once promoted
@@ -578,10 +636,23 @@ class FlowStepper:
         return self._specs
 
     def active_ids(self) -> list[int]:
+        self._sync_buffers()
         return self._a_ids[: self._na].tolist()
+
+    def _sync_buffers(self) -> None:
+        """Copy the scalar loop's lists into the active buffers if they
+        are ahead of them (see :meth:`_init_runtime_caches`); the lists
+        stay valid, so the next scalar call goes on from them."""
+        if self._buffers_stale:
+            ids, *cols = self._lists
+            na = len(ids)
+            self._a_ids[:na] = ids
+            self._a_blk[:, :na] = cols
+            self._buffers_stale = False
 
     def _active_pos(self, job_id: int) -> int:
         """Buffer position of an active job, or ``-1`` (binary search)."""
+        self._sync_buffers()
         na = self._na
         ids = self._a_ids[:na]
         pos = int(ids.searchsorted(job_id))
@@ -609,6 +680,7 @@ class FlowStepper:
 
     def backlog_work(self) -> float:
         """Total remaining work of admitted jobs plus work of pending ones."""
+        self._sync_buffers()
         base = self._base
         active = float(self._a_rem[: self._na].sum()) if self._na else 0.0
         pending = float(
@@ -743,6 +815,8 @@ class FlowStepper:
 
         ``rows`` counts *stored* jobs (``_n - _base``), not absolute ids —
         after a harvest the columns only ever hold the unharvested tail.
+        The active buffers move over as they are, so scalar-loop lists
+        that are ahead of them stay ahead (no sync needed here).
         """
         cap = self._release.size
         if rows <= cap:
@@ -840,7 +914,8 @@ class FlowStepper:
 
     def _view(self, t: float, na: int) -> ActiveView:
         """The :class:`ActiveView` of the first ``na`` active jobs at ``t``
-        — what policy hooks, timers and the object path see."""
+        — what policy hooks, timers and the object path see.  Called only
+        inside a pass of :meth:`_run_array`, which owns the buffers."""
         self.perf.view_builds += 1
         ids = self._a_ids[:na]
         rem = self._a_rem[:na]
@@ -891,7 +966,8 @@ class FlowStepper:
 
     def _remove_active(self, pos: int, na: int) -> None:
         """Drop the job at buffer position ``pos`` of the first ``na``,
-        compacting left; the caller owns the count (and the rate cache)."""
+        compacting left; the caller owns the count (and the rate cache).
+        Like :meth:`_insert_active`, runs only inside an array pass."""
         inc = self._inc
         if inc is not None:
             # the order holds the job's *current* key (the loop re-keys
@@ -1017,17 +1093,24 @@ class FlowStepper:
         ``False`` when nothing can happen before ``horizon`` — the machine
         is idle with no arrival due (the clock is parked at the horizon
         when one is given).  Raises :class:`FlowSimError` on policy
-        invariant violations, a stall, or an exhausted event budget.
+        invariant violations, a stall, or an exhausted event budget, and
+        ``ValueError`` on a non-finite horizon.
         """
+        if horizon is not None and not math.isfinite(horizon):
+            raise ValueError(f"step horizon must be finite, got {horizon}")
         return self._run(horizon, fold=False)
 
     def advance_to(self, t: float) -> None:
         """Process every event with time ≤ ``t`` and park the clock there.
 
         A no-op when ``t`` is not ahead of the clock (rewinding is
-        impossible; the clock never moves backwards).
+        impossible; the clock never moves backwards).  Raises
+        ``ValueError`` on a non-finite ``t``: NaN would be a silent no-op
+        and infinity would park the clock for good.
         """
         t = float(t)
+        if not math.isfinite(t):
+            raise ValueError(f"cannot advance the clock to {t}")
         while self._t * (1 + _ADMIT_TOL) < t:
             if not self._run(t, fold=True):
                 break
@@ -1062,7 +1145,9 @@ class FlowStepper:
           serves plain runs (no fault plan, profiles, segment recording,
           timer or ``set_weights``) of a policy with that hook while at
           most :data:`SCALAR_MAX_ACTIVE` jobs are active: below that size
-          numpy's per-call overhead dominates every array operation;
+          numpy's per-call overhead dominates every array operation.  The
+          lists outlive the call, so a run of one-event calls (SRPT never
+          folds) touches no numpy buffer between them;
         * :meth:`_run_array` works on the numpy buffers and covers every
           run.  A pass on it hands back to the lists once the active set
           has shrunk to half the threshold (the hysteresis keeps a run
@@ -1170,21 +1255,24 @@ class FlowStepper:
     ) -> tuple[bool | None, list | None]:
         """:meth:`_run`'s iterations on Python lists (small plain runs).
 
-        Loads the active set from the buffers into lists on entry and runs
-        the same iterations as :meth:`_run_array` does on a plain run, op
-        for op on Python floats: a stable sort for ``np.lexsort``,
-        :func:`~repro.flowsim.rates.dense_sum` for ``np.add.reduce``,
-        progress on the served entries only (an unserved entry's
-        ``rem - 0.0 * dt`` is ``rem``).  The buffers follow every
-        admission and removal as they happen; the remaining-work column,
-        which moves with every segment, is written back before a hook
-        builds its view and before returning.
+        Runs the same iterations as :meth:`_run_array` does on a plain
+        run, op for op on Python floats: a stable sort for
+        ``np.lexsort``, :func:`~repro.flowsim.rates.dense_sum` for
+        ``np.add.reduce``, progress on the served entries only (an
+        unserved entry's ``rem - 0.0 * dt`` is ``rem``).  The active set
+        lives in ``self._lists`` and stays there across calls: a call
+        takes the lists the previous one left (it builds them from the
+        buffers only when an array pass or a restore owned the set
+        last) and leaves the buffers stale, for :meth:`_sync_buffers`
+        to bring up to date when code outside this loop reads them.  The
+        master columns are written as the jobs come and go.  Arrival and
+        completion hooks get a :class:`_ListView` over the lists.
 
         Returns ``(ret, vec)`` with ``ret`` as :meth:`_run` returns it, or
         ``None`` when admissions took the active set past
         :data:`SCALAR_MAX_ACTIVE` (or, in a one-event call, to the
-        promotion threshold): the buffers are then current and the array
-        loop finishes the iteration.
+        promotion threshold): the array loop then takes the lists over
+        and finishes the iteration.
         """
         perf = self.perf
         policy = self.policy
@@ -1204,13 +1292,6 @@ class FlowStepper:
         watch = self._inc_spec is not None
         inc_min = self._inc_min
         top = SCALAR_MAX_ACTIVE
-        a_ids = self._a_ids
-        a_rem = self._a_rem
-        a_caps = self._a_caps
-        a_tol = self._a_tol
-        a_work = self._a_work
-        a_rel = self._a_rel
-        a_blk = self._a_blk
         release = self._release
         work_all = self._work
         caps_all = self._caps_all
@@ -1219,8 +1300,12 @@ class FlowStepper:
         flow = self._flow
         completions = self._completions
         na = self._na
-        ids = a_ids[:na].tolist()
-        rem, caps, tol, work, rel = a_blk[:, :na].tolist()
+        lists = self._lists
+        if lists is None:
+            ids = self._a_ids[:na].tolist()
+            rem, caps, tol, work, rel = self._a_blk[:, :na].tolist()
+        else:
+            ids, rem, caps, tol, work, rel = lists
         ev = self._events
         t = self._t
         ja = self._next_arrival
@@ -1234,8 +1319,7 @@ class FlowStepper:
         # every completion scan of the pass after the first full one
         # covers the served entries (see _run_array's ``fresh``)
         fresh = True
-        # the rem list is ahead of the buffer column
-        moved = False
+        views = 0
         ret = True
         try:
             while True:
@@ -1256,32 +1340,21 @@ class FlowStepper:
                     na0 = na
                     while ja < n and next_rel <= thresh:
                         r = ja - base
-                        w = work_all[r]
-                        c = caps_all[r]
-                        tl = tol_all[r]
-                        rl = release[r]
-                        a_ids[na] = ja
-                        a_rem[na] = w
-                        a_caps[na] = c
-                        a_tol[na] = tl
-                        a_work[na] = w
-                        a_rel[na] = rl
-                        w = float(w)
+                        w = float(work_all[r])
                         ids.append(ja)
                         rem.append(w)
-                        caps.append(float(c))
-                        tol.append(float(tl))
+                        caps.append(float(caps_all[r]))
+                        tol.append(float(tol_all[r]))
                         work.append(w)
-                        rel.append(float(rl))
+                        rel.append(float(release[r]))
                         na += 1
                         rem_all[r] = w
                         ja += 1
                         next_rel = float(release[ja - base]) if ja < n else _INF
                         if has_arrival:
-                            if moved:
-                                a_rem[:na] = rem
-                                moved = False
-                            policy.on_arrival(ja - 1, self._view(t, na))
+                            views += 1
+                            cols = (ids, rem, caps, tol, work, rel)
+                            policy.on_arrival(ja - 1, _ListView(t, m, cols, speed))
                     cache = None
                     fresh = True
                     if vec is not None:
@@ -1379,11 +1452,9 @@ class FlowStepper:
                 if dt > 0:
                     if served is None:
                         rem = [r - e * dt for r, e in zip(rem, eff)]
-                        moved = True
                     elif served:
                         for k in served:
                             rem[k] -= eff[k] * dt
-                        moved = True
                     busy += rsum * dt
                     t += dt
 
@@ -1405,18 +1476,15 @@ class FlowStepper:
                         rem_all[r] = rem[p]
                         flow[r] = t - rel[p]
                         del ids[p], rem[p], caps[p], tol[p], work[p], rel[p]
-                        a_ids[p : na - 1] = a_ids[p + 1 : na]
-                        a_blk[:, p : na - 1] = a_blk[:, p + 1 : na]
                         na -= 1
                         if vec is not None:
                             del vec[p]
                         completed += 1
                         completions.append((j, t))
                         if has_completion:
-                            if moved:
-                                a_rem[:na] = rem
-                                moved = False
-                            policy.on_completion(j, self._view(t, na))
+                            views += 1
+                            cols = (ids, rem, caps, tol, work, rel)
+                            policy.on_completion(j, _ListView(t, m, cols, speed))
                     cache = None
 
                 if not fold:
@@ -1427,8 +1495,8 @@ class FlowStepper:
                 elif completed == n:
                     break
         finally:
-            if moved:
-                a_rem[:na] = rem
+            self._lists = (ids, rem, caps, tol, work, rel)
+            self._buffers_stale = True
             self._events = ev
             self._t = t
             self._na = na
@@ -1444,6 +1512,7 @@ class FlowStepper:
             perf.checks_skipped += c_skip
             perf.view_reuses += c_reuse
             perf.batch_rate_patches += c_patch
+            perf.view_builds += views
             if fold and folded:
                 perf.batch_events_folded += folded
         return ret, vec
@@ -1462,8 +1531,12 @@ class FlowStepper:
         scalar loop began.  Returns ``(ret, vec)`` with ``ret`` as
         :meth:`_run` returns it, or ``None`` when the pass should go on
         in :meth:`_run_scalar`: the active set of a run it serves has
-        shrunk to ``SCALAR_MAX_ACTIVE // 2``.
+        shrunk to ``SCALAR_MAX_ACTIVE // 2``.  The pass owns the buffers:
+        it takes over and drops the scalar loop's lists on entry.
         """
+        if self._lists is not None:
+            self._sync_buffers()
+            self._lists = None
         inc = self._inc
         faults = self.faults
         # an order-spec policy still below the promotion threshold: a
@@ -1981,6 +2054,7 @@ class FlowStepper:
         Promotion is one-way — the dense paths win below the threshold
         only on constant factors, and demotion would just thrash.
         """
+        self._sync_buffers()
         inc = _IncrementalCore(self._inc_spec, self.policy)
         for k in range(self._na):
             j = int(self._a_ids[k])
@@ -2092,6 +2166,7 @@ class FlowStepper:
     def _harvest_bound(self) -> int:
         """First job id that may still need its master row: every id below
         it is completed (admitted, not active, not suspended)."""
+        self._sync_buffers()
         b = self._next_arrival
         if self._na:
             a0 = int(self._a_ids[0])
@@ -2305,6 +2380,7 @@ class FlowStepper:
         explicit DAGs are not snapshottable.
         """
         self._check_snapshottable()
+        self._sync_buffers()
         na = self._na
         if na:
             # the buffers hold the live remaining-work values; flush them

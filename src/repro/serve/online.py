@@ -19,6 +19,7 @@ clock.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 from repro.autoscale.controller import AutoscaleController
@@ -365,9 +366,16 @@ class OnlineScheduler:
         return out
 
     def advance_to(self, t: float) -> None:
-        """Run the machine forward to sim-time ``t``; never rewinds."""
+        """Run the machine forward to sim-time ``t``; never rewinds.
+
+        Raises ``ValueError`` on a non-finite ``t``, as the stepper does
+        (the elastic tick loop would never reach an infinite one).
+        """
+        t = float(t)
+        if not math.isfinite(t):
+            raise ValueError(f"cannot advance the clock to {t}")
         if self._controller is not None:
-            self._advance_elastic(float(t))
+            self._advance_elastic(t)
         else:
             self._stepper.advance_to(t)
         self._pump_completions()

@@ -41,6 +41,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import math
 from dataclasses import dataclass
 
 from repro.core.job import ParallelismMode
@@ -58,6 +59,7 @@ __all__ = [
     "LineFramer",
     "SchedulerServer",
     "ServeConfig",
+    "advance_field",
     "decode_request",
     "submit_fields",
 ]
@@ -496,11 +498,9 @@ class SchedulerServer:
     def _op_advance(self, request: dict) -> dict:
         if self.config.clock == "wall":
             raise ValueError("advance is only valid with the trace clock")
-        to = request.get("to")
-        if not _is_number(to):
-            raise ValueError("advance requires a numeric 'to'")
-        self._journal_append({"op": "advance", "to": float(to)})
-        self.scheduler.advance_to(float(to))
+        to = advance_field(request)
+        self._journal_append({"op": "advance", "to": to})
+        self.scheduler.advance_to(to)
         self._journal_rotate()
         return {"ok": True, "now": self.scheduler.now}
 
@@ -610,8 +610,28 @@ def decode_request(line: bytes) -> dict:
     return request
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _finite_number(v) -> bool:
+    """A finite JSON number.  ``json.loads`` also parses ``NaN`` and
+    ``Infinity``, and an integer past the float range overflows."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+def advance_field(request: dict) -> float:
+    """The checked ``to`` of an ``advance`` request.
+
+    Raises ``ValueError`` unless it is a finite number, before anything
+    is journaled or a clock moves — the server and the shard router both
+    check with this one function.
+    """
+    to = request.get("to")
+    if not _finite_number(to):
+        raise ValueError("advance requires a finite numeric 'to'")
+    return float(to)
 
 
 def submit_fields(request: dict) -> dict:
@@ -620,26 +640,27 @@ def submit_fields(request: dict) -> dict:
     Returns ``work``, ``span``, ``mode``, ``weight``, ``release`` and
     ``tenant``; ``release`` stays ``None`` when the request has none,
     for the caller to resolve against its own clock.  Raises
-    ``ValueError`` before anything is journaled or admitted — the server
-    and the shard router both check with this one function.
+    ``ValueError`` on a malformed field, a non-finite number included,
+    before anything is journaled or admitted — the server and the shard
+    router both check with this one function.
     """
     work = request.get("work")
-    if not _is_number(work) or not work > 0:
+    if not _finite_number(work) or not work > 0:
         raise ValueError("submit requires work > 0")
     span = request.get("span")
     if span is not None:
-        if not _is_number(span):
-            raise ValueError("span must be numeric")
+        if not _finite_number(span):
+            raise ValueError("span must be a finite number")
         span = float(span)
     mode = request.get("mode", "sequential")
     ParallelismMode(mode)
     weight = request.get("weight", 1.0)
-    if not _is_number(weight):
-        raise ValueError("weight must be numeric")
+    if not _finite_number(weight):
+        raise ValueError("weight must be a finite number")
     release = request.get("release")
     if release is not None:
-        if not _is_number(release):
-            raise ValueError("release must be numeric")
+        if not _finite_number(release):
+            raise ValueError("release must be a finite number")
         release = float(release)
     tenant = request.get("tenant")
     if tenant is not None and (not isinstance(tenant, str) or not tenant):

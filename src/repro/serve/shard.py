@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import math
 import os
 import re
 import selectors
@@ -65,6 +66,7 @@ from repro.serve.server import (
     LineFramer,
     SchedulerServer,
     ServeConfig,
+    advance_field,
     decode_request,
     submit_fields,
 )
@@ -715,6 +717,8 @@ class ShardRouter:
     def advance_to(self, t: float) -> None:
         """Advance every shard's clock to ``t`` and refresh occupancy."""
         t = float(t)
+        if not math.isfinite(t):
+            raise ValueError(f"cannot advance the router clock to {t}")
         if t < self._now:
             raise ValueError(f"cannot rewind router clock to {t}")
         self._now = t
@@ -1121,7 +1125,7 @@ class ShardFrontend:
                 key=request.get("key"),
             )
         if op == "advance":
-            router.advance_to(float(request["to"]))
+            router.advance_to(advance_field(request))
             return {"ok": True, "now": router.now}
         if op == "stats":
             return {"ok": True, "stats": router.stats()}

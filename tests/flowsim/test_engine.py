@@ -259,6 +259,22 @@ class TestParkedIterations:
         with pytest.raises(FlowSimError, match="exceeded 50 events"):
             old.drain()
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_horizon_raises(self, bad):
+        """NaN used to be a silent no-op and infinity parked the clock
+        there for good; both leave the stepper untouched now."""
+        from repro.flowsim.engine import FlowStepper
+
+        stepper = FlowStepper(1, SRPT())
+        stepper.add_jobs(list(make_trace([2.0]).jobs))
+        stepper.advance_to(1.0)
+        with pytest.raises(ValueError, match="finite|clock"):
+            stepper.advance_to(bad)
+        with pytest.raises(ValueError, match="finite"):
+            stepper.step(bad)
+        assert (stepper.now, stepper.events) == (1.0, 1)
+        assert stepper.remaining_of(0) == 1.0
+
 
 class TestDeterminism:
     def test_same_seed_same_result(self, small_random_trace):

@@ -11,7 +11,10 @@ flow times, the extras, every ``PerfCounters`` field and the policy RNG
 end state — across machine sizes down to m = 1, jobs all released at
 t = 0, exact ties, work from 1e-9 to 1e9 with dust jobs, horizons,
 one-event calls, mid-run snapshots, promotion to the incremental
-structures inside a scalar call, and the online scheduler.
+structures inside a scalar call, and the online scheduler.  The lists
+keep the active set across calls, so every reader of it is also run
+between one-event calls, and DREP's hooks must see the same views
+field for field.
 """
 
 from __future__ import annotations
@@ -19,14 +22,20 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.flowsim.engine as engine
 from repro.core.job import JobSpec, ParallelismMode
-from repro.flowsim.engine import FlowSimConfig, FlowStepper, simulate
-from repro.flowsim.policies import SRPT, DrepSequential, policy_by_name
+from repro.flowsim.engine import FlowSimConfig, FlowSimError, FlowStepper, simulate
+from repro.flowsim.policies import (
+    SRPT,
+    DrepParallel,
+    DrepSequential,
+    policy_by_name,
+)
 from repro.flowsim.policies.base import Policy
 from repro.perf.scaling import staircase_jobs
 from repro.serve.loadgen import replay_into
@@ -260,6 +269,227 @@ def test_online_equals_offline_drep(inst, seed, force):
     got = online(force)
     assert got["flow_times"] == [float(x) for x in offline.flow_times]
     assert got == online(ARRAY)
+
+
+# -- the lists own the active set across calls -----------------------------------
+
+#: the public readers of the active buffers; each must see the lists'
+#: state, however many one-event calls ran since the buffers were current
+READERS = ("active_ids", "remaining_of", "backlog_work", "n_harvestable",
+           "harvest", "state_dict", "restore")
+
+
+@st.composite
+def interleaving(draw):
+    """A trace, a policy the scalar backend serves, and a sequence of
+    calls that move the clock or register jobs, each followed by a
+    reader or not."""
+    trace, m, mode = draw(instance())
+    # SJF/SWF fold and carry an order spec: a folded scalar pass can end
+    # at the promotion threshold, so the next call promotes from the lists
+    name = draw(st.sampled_from(
+        ["srpt", "drep", "sjf"] if mode is SEQ else ["srpt", "drep-par", "swf"]
+    ))
+    horizon = st.floats(0.0, 60.0, allow_nan=False)
+    late_jobs = st.lists(
+        st.tuples(  # (release gap, work)
+            st.floats(0.0, 3.0, allow_nan=False),
+            st.floats(1e-3, 10.0, allow_nan=False),
+        ),
+        min_size=1,
+        max_size=20,  # enough to grow the job table past its capacity
+    )
+    call = st.one_of(
+        st.tuples(st.just("step"), st.none() | horizon),
+        st.tuples(st.just("advance_to"), horizon),
+        st.tuples(st.just("add_jobs"), late_jobs),
+    )
+    reader = st.none() | st.tuples(st.sampled_from(READERS), st.none())
+    pairs = draw(st.lists(st.tuples(call, reader), min_size=1, max_size=25))
+    ops = [op for pair in pairs for op in pair if op is not None]
+    return trace, m, mode, name, ops
+
+
+def _remaining(stepper, j):
+    try:
+        return stepper.remaining_of(j)
+    except KeyError as exc:
+        return repr(exc)
+
+
+def _read(stepper, op):
+    """What reader ``op`` returns, or the error it raises; ``restore``
+    also returns the stepper rebuilt from the snapshot."""
+    try:
+        if op == "active_ids":
+            return stepper.active_ids(), stepper
+        if op == "remaining_of":
+            jobs = range(stepper.n_jobs)
+            return [_remaining(stepper, j) for j in jobs], stepper
+        if op == "backlog_work":
+            return stepper.backlog_work(), stepper
+        if op == "n_harvestable":
+            return stepper.n_harvestable, stepper
+        if op == "harvest":
+            return [a.tolist() for a in stepper.harvest()], stepper
+        state = stepper.state_dict()
+        if op == "restore":
+            stepper = FlowStepper.from_state_dict(
+                state, stepper.policy, stepper.finished_state()
+            )
+        return state, stepper
+    except (KeyError, FlowSimError) as exc:
+        return repr(exc), stepper
+
+
+def interleave(case, force, config):
+    """Run ``case`` under ``scalar_max(force)``: what every call and
+    reader returned, then the drained end state."""
+    trace, m, mode, name, ops = case
+    policy = policy_by_name(name)
+    log = []
+    with scalar_max(force):
+        stepper = FlowStepper(m, policy, seed=5, config=config)
+        stepper.add_jobs(list(trace.jobs))
+        last = trace.jobs[-1].release
+        for op, arg in ops:
+            if op == "step":
+                out = stepper.step(arg)
+            elif op == "advance_to":
+                out = stepper.advance_to(arg)
+            elif op == "add_jobs":
+                last = max(last, stepper.now)
+                specs = []
+                for gap, work in arg:
+                    last += gap
+                    specs.append(JobSpec(
+                        job_id=stepper.n_jobs + len(specs), release=last,
+                        work=work, span=work if mode is SEQ else work / m,
+                        mode=mode,
+                    ))
+                stepper.add_jobs(specs)
+                out = stepper.n_jobs
+            else:
+                out, stepper = _read(stepper, op)
+            log.append((op, out, stepper.now, stepper.n_active, stepper.events))
+        stepper.drain()
+        try:
+            flows = stepper.result().flow_times.tolist()
+        except FlowSimError:  # harvested: the rest comes out of harvest()
+            flows = [a.tolist() for a in stepper.harvest()]
+        perf = stepper.perf.as_dict()
+    for noise in ("wall_s", "peak_rss_mb", "py_peak_mb"):
+        perf.pop(noise, None)
+    rng = getattr(policy, "_rng", None)
+    log.append((flows, perf, stepper.events,
+                None if rng is None else gen_goldens._rng_digest(rng)))
+    return log
+
+
+def _case(name, jobs, ops):
+    """An ``interleaving()`` case of sequential ``(release, work)`` jobs
+    on one processor."""
+    specs = [
+        JobSpec(job_id=i, release=r, work=w, span=w, mode=SEQ)
+        for i, (r, w) in enumerate(jobs)
+    ]
+    return Trace(jobs=specs, m=1), 1, SEQ, name, ops
+
+
+#: SRPT on the lists, every reader right after a step that changed what
+#: it reads: job 0 finishes at t = 1, job 1 runs until job 3 arrives at
+#: t = 2, job 3 is admitted, job 3 finishes and job 4 is admitted, ...
+EVERY_READER = _case(
+    "srpt",
+    [(0.0, 1.0), (0.0, 4.0), (0.0, 6.0), (2.0, 2.0), (3.0, 1.0), (9.0, 1.0)],
+    [op for reader in ("n_harvestable", "backlog_work", "active_ids",
+                       "remaining_of", "state_dict", "restore", "harvest")
+     for op in (("step", None), (reader, None))],
+)
+#: a folded SJF pass stops where admissions reach the promotion
+#: threshold, so the next call of the same advance promotes from the lists
+PROMOTE = _case(
+    "sjf", [(0.0, 5.0), (0.5, 5.0), (1.0, 5.0), (1.5, 5.0)],
+    [("advance_to", 30.0)],
+)
+#: one-event calls whose admissions hand the lists to the array loop
+HAND_OVER = _case(
+    "srpt", [(0.0, 5.0), (0.5, 5.0), (1.0, 5.0), (1.5, 5.0)],
+    [("step", None)] * 4,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=interleaving(),
+    force=st.sampled_from([SCALAR, 2, 3]),
+    inc_min=st.sampled_from([1024, 2, 3]),
+)
+@example(case=EVERY_READER, force=SCALAR, inc_min=1024)
+@example(case=PROMOTE, force=SCALAR, inc_min=3)
+@example(case=HAND_OVER, force=2, inc_min=1024)
+def test_readers_between_one_event_calls(case, force, inc_min):
+    """Every reader, a snapshot round trip and a registration that grows
+    the job table, between one-event calls that leave the buffers
+    stale: each returns what it returns on the numpy twin, and the run
+    goes on identically — across hand-overs to the array loop and
+    promotion to the incremental structures."""
+    config = FlowSimConfig(incremental_min_active=inc_min)
+    assert interleave(case, force, config) == interleave(case, ARRAY, config)
+
+
+def _recording(cls):
+    """``cls`` with hooks that read and record every field of every view
+    before the real hook runs."""
+
+    class Recording(cls):
+        def __init__(self):
+            super().__init__()
+            self.seen = []
+
+        def _see(self, kind, job_id, view):
+            fields = {}
+            for field in ("job_ids", "remaining", "work", "release", "caps"):
+                arr = getattr(view, field)
+                assert isinstance(arr, np.ndarray) and arr.shape == (view.n,)
+                fields[field] = (arr.dtype.str, arr.tolist())
+            ids = fields["job_ids"][1]
+            assert ids == sorted(set(ids))
+            self.seen.append(
+                (kind, job_id, view.n, view.t, view.m, view.speed, fields)
+            )
+
+        def on_arrival(self, job_id, view):
+            self._see("arrival", job_id, view)
+            super().on_arrival(job_id, view)
+
+        def on_completion(self, job_id, view):
+            self._see("completion", job_id, view)
+            super().on_completion(job_id, view)
+
+    return Recording
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    inst=instance(),
+    seed=st.integers(0, 20),
+    force=st.sampled_from([SCALAR, 2]),
+    drive=st.sampled_from(["drain", "steps"]),
+)
+def test_hook_views_agree(inst, seed, force, drive):
+    """DREP's arrival and completion hooks see the same views on the
+    lists as on the buffers, field for field and dtype for dtype (and
+    ``view_builds`` counts them alike, inside the record)."""
+    trace, m, mode = inst
+    cls = _recording(DrepSequential if mode is SEQ else DrepParallel)
+
+    def seen(force):
+        policy = cls()
+        return policy.seen, run(trace, m, policy, seed, force, drive=drive)
+
+    got, want = seen(force), seen(ARRAY)
+    assert got[0] and got == want
 
 
 # -- which runs take the lists ---------------------------------------------------

@@ -182,6 +182,39 @@ def test_mixed_pass_replies_in_request_order():
     }
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_numbers_move_no_clock(bad):
+    """``json.loads`` parses ``NaN`` and ``Infinity``: the router refuses
+    them in an advance and in every submit field, before its own clock
+    or a shard's moves."""
+    lines = [
+        _line({"op": "advance", "to": 5.0}),
+        _line({"op": "advance", "to": bad}),
+        *(
+            _line({"op": "submit", "work": 1.0, "release": 6.0, field: bad})
+            for field in ("work", "span", "weight", "release")
+        ),
+        _line({"op": "submit", "work": 1.0, "release": 6.0}),
+    ]
+    router = build_local_router(2, m=2, policy="drep", seed=SEED)
+
+    async def scenario(reader, writer):
+        writer.write(b"".join(lines))
+        await writer.drain()
+        return await _replies(reader, len(lines))
+
+    r = asyncio.run(_serve(router, scenario))
+    assert r[0] == {"ok": True, "now": 5.0}
+    assert not r[1]["ok"] and "finite" in r[1]["error"]
+    assert not any(reply["ok"] for reply in r[2:6])
+    assert r[6]["accepted"] and r[6]["global_id"] == 0
+    assert router.now == 6.0
+    assert sorted(s.scheduler.now for s in router.shards.values()) == [5.0, 6.0]
+    with pytest.raises(ValueError, match="router clock"):
+        router.advance_to(bad)
+    assert router.now == 6.0
+
+
 def test_batch_longer_than_a_shard_line_is_split():
     limit = 512
 

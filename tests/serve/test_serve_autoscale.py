@@ -101,6 +101,18 @@ class TestTicking:
         sched.advance_to(50.0)
         assert sched.stats()["autoscale"]["scale_ups"] == 0
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_horizon_raises(self, bad):
+        """An infinite horizon would fire ticks for ever."""
+        sched = elastic_scheduler()
+        burst(sched)
+        sched.advance_to(12.0)
+        ticks = sched.stats()["autoscale"]["ticks"]
+        with pytest.raises(ValueError, match="clock"):
+            sched.advance_to(bad)
+        assert sched.now == 12.0
+        assert sched.stats()["autoscale"]["ticks"] == ticks
+
 
 class TestDisplacement:
     def scale_down_under_load(self):

@@ -172,6 +172,52 @@ class TestErrors:
         asyncio.run(with_server(trace_config(), scenario))
 
 
+class TestNonFiniteNumbers:
+    """``json.loads`` parses ``NaN`` and ``Infinity``.  A request that
+    carries one is refused before it is journaled or moves the clock, so
+    it cannot park a trace clock at infinity, not even across a restart
+    from the journal."""
+
+    NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_advance_refused(self, tmp_path, bad):
+        async def scenario(client, server):
+            assert (await client.call(op="advance", to=1.0))["now"] == 1.0
+            resp = await client.call(op="advance", to=bad)
+            assert not resp["ok"] and "finite" in resp["error"]
+            assert (await client.call(op="ping"))["now"] == 1.0
+            # a later submit is judged against the finite clock
+            sub = await client.call(op="submit", work=1.0, release=2.0)
+            assert sub["ok"] and sub["accepted"] and sub["now"] == 2.0
+
+        async def restarted(client, server):
+            return (await client.call(op="hello"))["now"]
+
+        config = trace_config(journal_dir=str(tmp_path))
+        asyncio.run(with_server(config, scenario))
+        assert [e["op"] for e in read_journal(tmp_path)] == [
+            "advance", "submit"
+        ]
+        assert asyncio.run(with_server(config, restarted)) == 2.0
+
+    @pytest.mark.parametrize("field", ["work", "span", "weight", "release"])
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_submit_refused(self, tmp_path, field, bad):
+        async def scenario(client, server):
+            request = {"work": 1.0, "span": 1.0, "weight": 1.0,
+                       "release": 1.0, field: bad}
+            resp = await client.call(op="submit", **request)
+            assert not resp["ok"]
+            assert (await client.call(op="ping"))["now"] == 0.0
+            stats = (await client.call(op="stats"))["stats"]
+            assert stats["submitted"] == 0
+
+        config = trace_config(journal_dir=str(tmp_path))
+        asyncio.run(with_server(config, scenario))
+        assert read_journal(tmp_path) == []
+
+
 class TestBatchOp:
     GOOD_A = {"op": "submit", "work": 2.0, "release": 1.0, "id": "a"}
     BAD_WORK = {"op": "submit", "work": -1.0, "id": "bad"}
