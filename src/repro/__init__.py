@@ -6,7 +6,7 @@ The package implements the paper's contribution — the **DREP** scheduler
 (Distributed Random Equi-Partition) — together with every substrate its
 evaluation depends on:
 
-* :mod:`repro.core` — jobs, events, metrics, deterministic RNG streams;
+* :mod:`repro.core` — jobs, metrics, deterministic RNG streams;
 * :mod:`repro.dag` — the parallel-DAG job model and Cilk-style generators;
 * :mod:`repro.workloads` — synthetic Bing/Finance distributions, Poisson
   arrivals, load calibration, traces;

@@ -34,32 +34,24 @@ def _memoized_trace(
     key = (distribution, load, m, n_jobs, mode, seed)
     trace = _TRACE_MEMO.get(key)
     if trace is None:
-        # a grid run may have shipped this trace's columns via shared
-        # memory (repro.analysis.shm); reconstructing from the packed
-        # floats is exact, so the rows stay byte-identical to a local
-        # regeneration — which remains the fallback
-        from repro.analysis.shm import shared_trace
+        from repro.workloads.traces import generate_trace
 
-        trace = shared_trace(key)
-        if trace is None:
-            from repro.workloads.traces import generate_trace
-
-            trace = generate_trace(
-                n_jobs=n_jobs,
-                distribution=distribution,
-                load=load,
-                m=m,
-                mode=ParallelismMode(mode),
-                seed=seed,
-            )
+        trace = generate_trace(
+            n_jobs=n_jobs,
+            distribution=distribution,
+            load=load,
+            m=m,
+            mode=ParallelismMode(mode),
+            seed=seed,
+        )
         if len(_TRACE_MEMO) >= _TRACE_MEMO_MAX:
             _TRACE_MEMO.pop(next(iter(_TRACE_MEMO)))
         _TRACE_MEMO[key] = trace
     return trace
 
 
-#: public name — the grid runner (:mod:`repro.analysis.pool`) and the
-#: shared-memory shipment key their traces through this memo
+#: public name — the grid runner (:mod:`repro.analysis.pool`) keys its
+#: traces through this memo
 memoized_trace = _memoized_trace
 
 

@@ -12,17 +12,14 @@ keeping the library's repro contract *byte-for-byte*:
   its own chunk) and reassembled in submission order, and every cell
   carries its own explicit seed, derived with the library's single
   seed-derivation rule (:func:`repro.core.rng.derive_seed`).
-* **No per-cell trace shipping** — cells are small frozen dataclasses;
-  trace *columns* travel once per grid through a shared-memory segment
-  (:mod:`repro.analysis.shm`) that workers attach lazily, and when
-  shared memory is unavailable workers fall back to regenerating traces
-  from generation parameters through the per-process memo of
-  :mod:`repro.analysis.parallel`.  Either way a grid whose cells differ
-  only in policy materializes each trace once per worker.
+* **No trace shipping** — cells are small frozen dataclasses; each
+  worker regenerates a cell's trace from its generation parameters
+  through the per-process memo of :mod:`repro.analysis.parallel`, so a
+  grid whose cells differ only in policy materializes each trace once
+  per worker.
 * **Observability** — pass a :class:`repro.perf.PerfCounters` and the
   dispatch shape lands in ``pool_tasks`` / ``pool_chunks`` /
-  ``pool_workers`` / ``pool_shm_traces`` / ``pool_shm_bytes`` (reported
-  by the grid-sweep bench cases).
+  ``pool_workers``.
 
 ``FlowSweepCell`` rows carry the same fields as the serial
 :func:`repro.analysis.experiments.run_flow_sweep` rows plus ``seed`` and
@@ -75,19 +72,19 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def resolve_workers(workers: "int | str | None") -> int | None:
+def resolve_workers(workers: "int | str | None") -> int:
     """Normalize a worker count: int, ``None`` (all cores) or ``"auto"``.
 
-    ``"auto"`` caps at the CPUs actually available to the process
-    (``os.process_cpu_count`` when it exists, else the scheduler
-    affinity mask) and falls back to serial on a 1-core box — spawning a
-    pool there only adds fork/pickle overhead on top of a core the
-    parent already saturates (the BENCH_4 ``grid_sweep_w4``
+    ``None`` and ``"auto"`` both mean the CPUs actually available to the
+    process (``os.process_cpu_count`` when it exists, else the scheduler
+    affinity mask), so either falls back to serial on a 1-core box —
+    spawning a pool there only adds fork/pickle overhead on top of a
+    core the parent already saturates (the BENCH_4 ``grid_sweep_w4``
     oversubscription finding: w4 is *slower* than w1 on 1 core).
     Results are unaffected either way — the grid contract is
     byte-identical rows for every worker count.
     """
-    if workers == "auto":
+    if workers is None or workers == "auto":
         return _available_cpus()
     if isinstance(workers, str):
         raise ValueError(f"workers must be an int, None or 'auto', got {workers!r}")
@@ -109,25 +106,17 @@ def run_grid(
     workers: "int | str | None" = 1,
     chunk_size: int | None = None,
     counters=None,
-    initializer: Callable | None = None,
-    initargs: tuple = (),
 ) -> list:
     """Run ``fn`` over ``tasks``; result order == task order, always.
 
     ``fn`` and every task must be picklable (module-level function,
-    plain-data cells).  ``workers=None`` uses the CPU count;
-    ``workers="auto"`` uses :func:`resolve_workers` (available CPUs,
-    serial on 1 core); ``workers=1`` runs inline — same code path minus
-    the pool, so the output is byte-identical by construction.  ``chunk_size`` tunes dispatch
-    granularity (default :func:`default_chunk_size`): chunks are
+    plain-data cells).  ``workers=None`` and ``workers="auto"`` use
+    :func:`resolve_workers` (available CPUs, serial on 1 core);
+    ``workers=1`` runs inline — same code path minus the pool, so the
+    output is byte-identical by construction.  ``chunk_size`` tunes
+    dispatch granularity (default :func:`default_chunk_size`): chunks are
     submitted up front and completed in any order (work stealing), then
     reassembled by chunk index.
-
-    ``initializer`` / ``initargs`` run once in each worker process before
-    any chunk (the hook the shared-memory trace shipment uses to install
-    its manifest).  They are **not** invoked on the inline ``workers=1``
-    path — the parent process already holds whatever state the
-    initializer would install.
 
     Degenerate dispatch shapes are normalized rather than spawning a
     useless pool: an empty task list returns ``[]`` without touching the
@@ -137,8 +126,6 @@ def run_grid(
     """
     tasks = list(tasks)
     workers = resolve_workers(workers)
-    if workers is None:
-        workers = os.cpu_count() or 1
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if chunk_size is not None and chunk_size < 1:
@@ -159,9 +146,7 @@ def run_grid(
     if counters is not None:
         counters.pool_chunks += len(chunks)
     results: list[list | None] = [None] * len(chunks)
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=initializer, initargs=initargs
-    ) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = {
             pool.submit(_run_chunk, fn, chunk): i
             for i, chunk in enumerate(chunks)
@@ -287,63 +272,14 @@ def run_flow_grid(
     chunk_size: int | None = None,
     counters=None,
 ) -> list[dict]:
-    """Run a flow-cell grid through :func:`run_grid`.
-
-    When the grid actually fans out (resolved ``workers > 1``), the
-    distinct traces behind the cells are generated once in the parent
-    and shipped to the workers through one shared-memory segment
-    (:mod:`repro.analysis.shm`): workers reconstruct each trace from the
-    packed columns instead of re-running ``generate_trace`` per process.
-    The reconstruction is bit-exact, so rows remain byte-identical to
-    ``workers=1``; if shared memory is unavailable the grid silently
-    stays on the per-process regeneration path.  The segment is unlinked
-    as soon as the grid returns.
-    """
-    resolved = resolve_workers(workers)
-    if resolved is None:
-        resolved = os.cpu_count() or 1
-    shipment = None
-    initializer: Callable | None = None
-    initargs: tuple = ()
-    if resolved > 1 and len(cells) > 1:
-        from repro.analysis import shm
-        from repro.analysis.parallel import memoized_trace
-
-        keyed: dict[tuple, object] = {}
-        for cell in cells:
-            key = (
-                cell.distribution,
-                cell.load,
-                cell.m,
-                cell.n_jobs,
-                cell.mode,
-                cell.seed,
-            )
-            if key not in keyed:
-                keyed[key] = memoized_trace(*key)
-        try:
-            manifest, shipment = shm.pack_flow_traces(keyed)
-        except shm.ShmUnavailable:
-            shipment = None  # memo path: workers regenerate as before
-        else:
-            initializer = shm.install_manifest
-            initargs = (manifest,)
-            if counters is not None:
-                counters.pool_shm_traces += shipment.n_traces
-                counters.pool_shm_bytes += shipment.nbytes
-    try:
-        return run_grid(
-            _run_flow_cell,
-            cells,
-            workers=workers,
-            chunk_size=chunk_size,
-            counters=counters,
-            initializer=initializer,
-            initargs=initargs,
-        )
-    finally:
-        if shipment is not None:
-            shipment.close_and_unlink()
+    """Run a flow-cell grid through :func:`run_grid`."""
+    return run_grid(
+        _run_flow_cell,
+        cells,
+        workers=workers,
+        chunk_size=chunk_size,
+        counters=counters,
+    )
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,15 @@
 """Core primitives shared across the library.
 
 * :mod:`repro.core.job` — job specifications and per-run state;
-* :mod:`repro.core.events` — event queue for the continuous-time simulator;
 * :mod:`repro.core.metrics` — schedule results and summaries;
 * :mod:`repro.core.rng` — named deterministic random streams.
 """
 
-from repro.core.events import Event, EventKind, EventQueue
 from repro.core.job import JobSpec, JobState, ParallelismMode
 from repro.core.metrics import ScheduleResult, compare_results, summarize_flow
 from repro.core.rng import RngFactory, stable_hash
 
 __all__ = [
-    "Event",
-    "EventKind",
-    "EventQueue",
     "JobSpec",
     "JobState",
     "ParallelismMode",

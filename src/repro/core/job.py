@@ -17,7 +17,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-__all__ = ["ParallelismMode", "JobSpec", "JobState"]
+__all__ = ["ParallelismMode", "JobSpec", "JobState", "check_job_fields"]
 
 
 class ParallelismMode(enum.Enum):
@@ -43,6 +43,36 @@ class ParallelismMode(enum.Enum):
         if self is ParallelismMode.SEQUENTIAL:
             return 1.0
         return float(m)
+
+
+def check_job_fields(
+    release: float,
+    work: float,
+    span: float,
+    mode: ParallelismMode,
+    weight: float,
+) -> None:
+    """Raise ``ValueError`` unless :class:`JobSpec` accepts these fields.
+
+    The one statement of the rule, tolerances included: the spec checks
+    itself with it, and the serving layer checks a submission with it
+    before the submission moves a clock, reaches the journal or is
+    counted as offered.
+    """
+    if not (weight > 0 and math.isfinite(weight)):
+        raise ValueError(f"weight must be finite and > 0, got {weight}")
+    if not (release >= 0 and math.isfinite(release)):
+        raise ValueError(f"release must be finite and >= 0, got {release}")
+    if not (work > 0 and math.isfinite(work)):
+        raise ValueError(f"work must be finite and > 0, got {work}")
+    if not (0 < span <= work * (1 + 1e-12)):
+        raise ValueError(
+            f"span must satisfy 0 < span <= work, got span={span}, work={work}"
+        )
+    if mode is ParallelismMode.SEQUENTIAL and not math.isclose(
+        span, work, rel_tol=1e-9
+    ):
+        raise ValueError("sequential jobs must have span == work")
 
 
 @dataclass(frozen=True)
@@ -79,22 +109,9 @@ class JobSpec:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.weight > 0 and math.isfinite(self.weight)):
-            raise ValueError(f"weight must be finite and > 0, got {self.weight}")
         if self.job_id < 0:
             raise ValueError(f"job_id must be >= 0, got {self.job_id}")
-        if not (self.release >= 0 and math.isfinite(self.release)):
-            raise ValueError(f"release must be finite and >= 0, got {self.release}")
-        if not (self.work > 0 and math.isfinite(self.work)):
-            raise ValueError(f"work must be finite and > 0, got {self.work}")
-        if not (0 < self.span <= self.work * (1 + 1e-12)):
-            raise ValueError(
-                f"span must satisfy 0 < span <= work, got span={self.span}, work={self.work}"
-            )
-        if self.mode is ParallelismMode.SEQUENTIAL and not math.isclose(
-            self.span, self.work, rel_tol=1e-9
-        ):
-            raise ValueError("sequential jobs must have span == work")
+        check_job_fields(self.release, self.work, self.span, self.mode, self.weight)
 
     def lower_bound(self, m: int) -> float:
         """Observation 1: any unit-speed schedule needs ``max(W/m', C)`` time.

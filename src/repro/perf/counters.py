@@ -21,9 +21,7 @@ mutations of the live priority order, ``calendar_pops`` heap pops and
 calendar — see ``docs/performance.md`` for the per-policy complexity
 table they evidence), and what the grid-runner pool dispatched
 (``pool_tasks`` cells over ``pool_chunks`` chunks across ``pool_workers``
-workers, with ``pool_shm_traces`` traces shipped once as
-``pool_shm_bytes`` of shared memory instead of being regenerated per
-worker).
+workers).
 
 They are plain integer attributes on a ``__slots__`` object — an
 increment is one attribute add, cheap enough to leave on permanently.
@@ -62,8 +60,6 @@ class PerfCounters:
         "pool_tasks",
         "pool_chunks",
         "pool_workers",
-        "pool_shm_traces",
-        "pool_shm_bytes",
         "peak_rss_mb",
         "py_peak_mb",
         "wall_s",
@@ -90,8 +86,6 @@ class PerfCounters:
         self.pool_tasks = 0
         self.pool_chunks = 0
         self.pool_workers = 0
-        self.pool_shm_traces = 0
-        self.pool_shm_bytes = 0
         self.peak_rss_mb = 0.0
         self.py_peak_mb = 0.0
         self.wall_s = 0.0

@@ -55,7 +55,6 @@ import os
 from contextlib import contextmanager
 from pathlib import Path
 
-from repro.core.metrics import ScheduleResult
 from repro.flowsim.engine import FlowSimError
 from repro.serve.online import OnlineScheduler
 
@@ -366,17 +365,6 @@ def recover(
         replayed += 1
     _trim_history(directory / HISTORY_NAME, history_bytes)
     return scheduler, last_seq, replayed
-
-
-def drain_result_equal(a: ScheduleResult, b: ScheduleResult) -> bool:
-    """Bit-for-bit comparison used by the crash-recovery checks."""
-    import numpy as np
-
-    return (
-        a.flow_times.shape == b.flow_times.shape
-        and bool(np.all(a.flow_times == b.flow_times))
-        and a.makespan == b.makespan
-    )
 
 
 def _read_snapshot(directory: Path) -> dict | None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from repro.autoscale.controller import AutoscaleController
 from repro.autoscale.guard import AutoscaleConfig
-from repro.core.job import JobSpec, ParallelismMode
+from repro.core.job import JobSpec, ParallelismMode, check_job_fields
 from repro.core.metrics import ScheduleResult
 from repro.flowsim.engine import FlowSimConfig, FlowStepper
 from repro.flowsim.policies.base import Policy
@@ -270,7 +270,9 @@ class OnlineScheduler:
         trajectory up to ``now`` is already fixed.  ``tenant`` labels the
         job for multi-tenant admission, per-tenant metrics and the
         per-tenant drained report; ``None`` keeps the single-tenant
-        behavior exactly.
+        behavior exactly.  Fields :class:`JobSpec` would refuse raise
+        ``ValueError`` before the job counts as offered or reaches
+        admission.
         """
         if isinstance(mode, str):
             mode = ParallelismMode(mode)
@@ -278,6 +280,7 @@ class OnlineScheduler:
             release = self.now
         if span is None:
             span = work if mode is ParallelismMode.SEQUENTIAL else work / self.m
+        check_job_fields(release, work, span, mode, weight)
         self._offered += 1
         decision = AdmissionDecision.ACCEPT
         backpressure = 0.0

@@ -44,7 +44,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from repro.core.job import ParallelismMode
+from repro.core.job import ParallelismMode, check_job_fields
 from repro.flowsim.engine import FlowSimConfig
 from repro.flowsim.policies import policy_by_name
 from repro.serve.admission import AdmissionConfig, AdmissionController
@@ -641,8 +641,9 @@ def submit_fields(request: dict) -> dict:
     ``tenant``; ``release`` stays ``None`` when the request has none,
     for the caller to resolve against its own clock.  Raises
     ``ValueError`` on a malformed field, a non-finite number included,
-    before anything is journaled or admitted — the server and the shard
-    router both check with this one function.
+    or on numbers :class:`~repro.core.job.JobSpec` would refuse, before
+    anything is journaled or admitted — the server and the shard router
+    both check with this one function.
     """
     work = request.get("work")
     if not _finite_number(work) or not work > 0:
@@ -653,7 +654,7 @@ def submit_fields(request: dict) -> dict:
             raise ValueError("span must be a finite number")
         span = float(span)
     mode = request.get("mode", "sequential")
-    ParallelismMode(mode)
+    kind = ParallelismMode(mode)
     weight = request.get("weight", 1.0)
     if not _finite_number(weight):
         raise ValueError("weight must be a finite number")
@@ -662,6 +663,15 @@ def submit_fields(request: dict) -> dict:
         if not _finite_number(release):
             raise ValueError("release must be a finite number")
         release = float(release)
+    # a missing release or span is filled in later (the clock, the mode's
+    # default span), so only the given ones are judged here
+    check_job_fields(
+        0.0 if release is None else release,
+        work,
+        work if span is None else span,
+        kind,
+        weight,
+    )
     tenant = request.get("tenant")
     if tenant is not None and (not isinstance(tenant, str) or not tenant):
         raise ValueError("tenant must be a non-empty string")

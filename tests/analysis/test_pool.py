@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis import pool
 from repro.analysis.pool import (
     FlowSweepCell,
     default_chunk_size,
@@ -77,6 +78,17 @@ class TestRunGrid:
         assert run_grid(_square, [], workers=8, counters=c) == []
         assert c.as_dict() == {}
 
+    def test_all_cores_means_available_cpus(self, monkeypatch):
+        # workers=None and "auto" share one affinity-aware count, so a
+        # process pinned to one CPU runs the grid inline either way
+        monkeypatch.setattr(pool, "_available_cpus", lambda: 1)
+        for workers in (None, "auto"):
+            c = PerfCounters()
+            assert run_grid(_square, range(8), workers=workers, counters=c) == [
+                x * x for x in range(8)
+            ]
+            assert (c.pool_workers, c.pool_chunks) == (1, 1)
+
     def test_single_task_many_workers_runs_inline(self):
         c = PerfCounters()
         assert run_grid(_square, [6], workers=32, counters=c) == [36]
@@ -140,128 +152,6 @@ class TestFlowGrid:
     def test_rejects_bad_replicates(self):
         with pytest.raises(ValueError):
             flow_sweep_cells("finance", 0.5, "sequential", [2], 40, replicates=0)
-
-
-def _probe_shared(key: tuple) -> tuple:
-    """Worker-side probe: materialize the trace, report shm hit count.
-
-    Clears the (fork-inherited) per-process memo first so the lookup
-    must go through shared memory, as it would under a spawn start
-    method where workers begin with an empty memo.
-    """
-    from repro.analysis import parallel, shm
-    from repro.analysis.parallel import memoized_trace
-
-    parallel._TRACE_MEMO.clear()
-    trace = memoized_trace(*key)
-    return (
-        shm.shared_stats()["hits"],
-        len(trace.jobs),
-        trace.jobs[0].release,
-        trace.jobs[-1].work,
-    )
-
-
-class TestSharedMemoryShipping:
-    """Zero-copy trace dispatch (`repro.analysis.shm`)."""
-
-    KEY = ("finance", 0.7, 4, 120, "sequential", 21)
-
-    def test_pack_roundtrip_is_exact(self):
-        from repro.analysis import shm
-        from repro.analysis.parallel import memoized_trace
-
-        trace = memoized_trace(*self.KEY)
-        manifest, ship = shm.pack_flow_traces({self.KEY: trace})
-        try:
-            shm.install_manifest(manifest)
-            rec = shm.shared_trace(self.KEY)
-            assert rec is not None
-            assert rec.jobs == trace.jobs  # JobSpec equality: all fields
-            assert (rec.m, rec.load, rec.distribution, rec.name) == (
-                trace.m, trace.load, trace.distribution, trace.name
-            )
-        finally:
-            shm.install_manifest(None)
-            ship.close_and_unlink()
-
-    def test_lookup_misses_fall_back(self):
-        from repro.analysis import shm
-        from repro.analysis.parallel import memoized_trace
-
-        assert shm.shared_trace(self.KEY) is None  # no manifest installed
-        trace = memoized_trace(*self.KEY)
-        manifest, ship = shm.pack_flow_traces({self.KEY: trace})
-        try:
-            shm.install_manifest(manifest)
-            other = ("finance", 0.7, 4, 120, "sequential", 99)
-            assert shm.shared_trace(other) is None  # key not shipped
-        finally:
-            shm.install_manifest(None)
-            ship.close_and_unlink()
-
-    def test_dag_traces_are_not_packable(self):
-        from repro.analysis import shm
-        from repro.workloads.traces import attach_dags, generate_trace
-
-        base = generate_trace(
-            n_jobs=12, distribution="finance", load=0.5, m=4, seed=1
-        )
-        dag_trace = attach_dags(base, parallelism=4, seed=1)
-        with pytest.raises(shm.ShmUnavailable):
-            shm.pack_flow_traces({("k",): dag_trace})
-
-    def test_workers_see_shared_traces(self):
-        """Every worker's first lookup is served from shared memory."""
-        from repro.analysis import shm
-        from repro.analysis.parallel import memoized_trace
-
-        trace = memoized_trace(*self.KEY)
-        manifest, ship = shm.pack_flow_traces({self.KEY: trace})
-        try:
-            rows = run_grid(
-                _probe_shared,
-                [self.KEY] * 4,
-                workers=2,
-                chunk_size=1,
-                initializer=shm.install_manifest,
-                initargs=(manifest,),
-            )
-        finally:
-            ship.close_and_unlink()
-        for hits, n_jobs, first_release, last_work in rows:
-            assert hits >= 1
-            assert n_jobs == len(trace.jobs)
-            assert first_release == trace.jobs[0].release
-            assert last_work == trace.jobs[-1].work
-
-    def test_flow_grid_counts_shipment(self):
-        cells = flow_sweep_cells(
-            "finance", 0.6, "sequential", [2, 4], 60, seed=7,
-            policies=("srpt", "drep"),
-        )
-        c = PerfCounters()
-        pooled = run_flow_grid(cells, workers=4, counters=c)
-        assert c.pool_shm_traces == 2  # one distinct trace per m value
-        assert c.pool_shm_bytes > 0
-        serial = run_flow_grid(cells, workers=1)
-        assert pooled == serial
-
-    def test_flow_grid_survives_shm_unavailable(self, monkeypatch):
-        from repro.analysis import shm
-
-        def _unavailable(keyed):
-            raise shm.ShmUnavailable("forced by test")
-
-        monkeypatch.setattr(shm, "pack_flow_traces", _unavailable)
-        cells = flow_sweep_cells(
-            "finance", 0.6, "sequential", [2], 60, seed=7, policies=("srpt",),
-            replicates=2,
-        )
-        c = PerfCounters()
-        pooled = run_flow_grid(cells, workers=2, counters=c)
-        assert c.pool_shm_traces == 0  # fell back to memo regeneration
-        assert pooled == run_flow_grid(cells, workers=1)
 
 
 class TestReplicateFlow:

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.analysis.report import ReportConfig, build_report, write_report
+from repro.analysis.report import (
+    ReportConfig,
+    build_report,
+    tenant_breakdown,
+    write_report,
+)
+from repro.flowsim.policies import SRPT
+from repro.serve.online import OnlineScheduler
 
 TINY = ReportConfig(
     flow_jobs=60,
@@ -58,3 +66,63 @@ class TestBuildReport:
         path = write_report(tmp_path / "sub" / "report.md", TINY)
         assert path.exists()
         assert path.read_text().startswith("# DREP reproduction report")
+
+
+class TestTenantBreakdown:
+    """Per-tenant rows from a drain's grouped flow times."""
+
+    @pytest.fixture(scope="class")
+    def flows(self):
+        sched = OnlineScheduler(2, SRPT(), seed=0)
+        for i in range(24):
+            sched.submit(
+                work=1.0 + i % 5,
+                release=0.5 * i,
+                tenant="zeta" if i % 3 == 0 else "alpha",
+            )
+        sched.drain()
+        flows = sched.flows_by_tenant()
+        assert list(flows) == ["zeta", "alpha"]  # completion order
+        return flows
+
+    def test_rows_match_numpy(self, flows):
+        rows = tenant_breakdown(flows)
+        assert [r["tenant"] for r in rows] == ["alpha", "zeta"]
+        assert [r["count"] for r in rows] == [16, 8]
+        for row in rows:
+            f = np.asarray(flows[row["tenant"]])
+            assert row == {
+                "tenant": row["tenant"],
+                "count": f.size,
+                "mean_flow": f.mean(),
+                "p95_flow": np.percentile(f, 95),
+                "p99_flow": np.percentile(f, 99),
+                "max_flow": f.max(),
+            }
+
+    def test_slo_attainment(self, flows):
+        slo = float(np.median(np.concatenate(list(flows.values()))))
+        rows = tenant_breakdown(flows, slo=slo)
+        assert [r["slo"] for r in rows] == [slo, slo]
+        assert [r["slo_attainment"] for r in rows] == [
+            np.count_nonzero(np.asarray(flows[t]) <= slo) / len(flows[t])
+            for t in ("alpha", "zeta")
+        ]
+        assert 0.0 < rows[0]["slo_attainment"] < 1.0
+        assert [
+            {k: v for k, v in r.items() if not k.startswith("slo")} for r in rows
+        ] == tenant_breakdown(flows)
+
+    def test_empty_list_is_an_all_zero_row(self):
+        zero = {
+            "tenant": "idle",
+            "count": 0,
+            "mean_flow": 0.0,
+            "p95_flow": 0.0,
+            "p99_flow": 0.0,
+            "max_flow": 0.0,
+        }
+        assert tenant_breakdown({"idle": []}) == [zero]
+        assert tenant_breakdown({"idle": []}, slo=2.0) == [
+            {**zero, "slo": 2.0, "slo_attainment": 1.0}
+        ]

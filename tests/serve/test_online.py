@@ -77,6 +77,31 @@ class TestOnlineSemantics:
         with pytest.raises(ValueError, match="past"):
             sched.submit(work=1.0, release=3.0)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"weight": 0.0},
+            {"release": -1.0},
+            {"span": 5.0},
+            {"span": 0.5},
+            {"span": 5.0, "mode": "fully_parallel"},
+        ],
+    )
+    def test_spec_refusal_counts_nothing(self, bad):
+        """Numbers the JobSpec refuses raise before the job counts as
+        offered or reaches admission."""
+        sched = OnlineScheduler(
+            2,
+            FIFO(),
+            admission=AdmissionController(AdmissionConfig(max_active=10), 2),
+        )
+        sched.submit(work=1.0, release=1.0)
+        before = (sched.n_offered, sched.admission.state_dict())
+        with pytest.raises(ValueError):
+            sched.submit(**{"work": 1.0, "release": 50.0, **bad})
+        assert (sched.n_offered, sched.admission.state_dict()) == before
+        assert (sched.n_submitted, sched.now) == (1, 0.0)
+
     def test_clock_never_rewinds(self):
         sched = OnlineScheduler(1, FIFO(), seed=0)
         sched.advance_to(4.0)

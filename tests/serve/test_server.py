@@ -218,6 +218,38 @@ class TestNonFiniteNumbers:
         assert read_journal(tmp_path) == []
 
 
+class TestOutOfRangeSubmit:
+    """A submit whose numbers the JobSpec refuses is refused before it
+    moves the trace clock, reaches the journal or counts as offered."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"weight": 0.0},
+            {"weight": -1.0},
+            {"release": -1.0},
+            {"span": 0.0},
+            {"span": 5.0},
+            {"span": 0.5},
+            {"span": 5.0, "mode": "fully_parallel"},
+        ],
+    )
+    def test_refused_before_any_effect(self, tmp_path, bad):
+        async def scenario(client, server):
+            ok = await client.call(op="submit", work=1.0, release=1.0)
+            assert ok["accepted"]
+            resp = await client.call(
+                op="submit", **{"work": 1.0, "release": 50.0, **bad}
+            )
+            assert not resp["ok"] and resp["error"].startswith("ValueError: ")
+            stats = (await client.call(op="stats"))["stats"]
+            return (await client.call(op="ping"))["now"], stats["offered"]
+
+        config = trace_config(journal_dir=str(tmp_path))
+        assert asyncio.run(with_server(config, scenario)) == (1.0, 1)
+        assert len(read_journal(tmp_path)) == 1
+
+
 class TestBatchOp:
     GOOD_A = {"op": "submit", "work": 2.0, "release": 1.0, "id": "a"}
     BAD_WORK = {"op": "submit", "work": -1.0, "id": "bad"}

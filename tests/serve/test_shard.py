@@ -220,22 +220,39 @@ def test_router_rejects_clock_rewind_and_empty_fleet():
 
 
 def test_router_checks_a_submit_before_admission():
-    """An invalid submit must not reach admission: no tenant slot taken,
-    no credit spent, no load observed."""
-    bad = [{"work": -5.0}, {"work": 0}, {"work": 1.0, "mode": "bogus"}]
+    """An invalid submit, numbers the JobSpec refuses included, must not
+    reach admission or a shard: no tenant slot taken, no credit spent, no
+    load observed, no clock moved."""
+    bad = [
+        {"work": -5.0},
+        {"work": 0},
+        {"work": 1.0, "mode": "bogus"},
+        {"work": 1.0, "weight": 0.0},
+        {"work": 1.0, "release": -1.0},
+        {"work": 1.0, "span": 5.0},
+        {"work": 1.0, "span": 0.5},
+    ]
     with build_local_router(
         2, m=2, policy="srpt", seed=1, tenancy=TenancyConfig(credit_rate=0.5)
     ) as router:
+        calls = []
+        for shard in router.shards.values():
+
+            def counted(request, call=shard.call):
+                calls.append(request)
+                return call(request)
+
+            shard.call = counted
         admission = router.admission
         before = (admission.tenant_stats(1.0), admission.load_estimate(1.0))
-        for fields in bad:
+        items = [{"tenant": "a", "release": 50.0, **fields} for fields in bad]
+        for item in items:
             with pytest.raises(ValueError):
-                router.submit(tenant="a", release=1.0, **fields)
-        replies = router.submit_batch(
-            [{**fields, "tenant": "a", "release": 1.0} for fields in bad]
-        )
+                router.submit(**item)
+        replies = router.submit_batch(items)
         assert all(r["error"].startswith("ValueError: ") for r in replies)
         assert router.n_offered == 0
+        assert (router.now, calls) == (0.0, [])
         after = (admission.tenant_stats(1.0), admission.load_estimate(1.0))
         assert after == before
 
