@@ -40,8 +40,6 @@ _DEFAULT_M_SWEEP = [1, 2, 4, 8, 16, 32, 64]
 
 def _fig_flow(args: argparse.Namespace, mode: ParallelismMode) -> int:
     workers = getattr(args, "workers", 1)
-    if workers == 0:
-        workers = None  # run_grid: all cores
     if workers is None or workers == "auto" or workers > 1:
         # shard the (m × policy) grid over a process pool; rows are
         # byte-identical to the serial sweep (see repro.analysis.pool)
@@ -125,10 +123,16 @@ def main(argv: list[str] | None = None) -> int:
 
     def workers_value(value: str):
         # "auto" = available CPUs, serial on a 1-core box (see
-        # repro.analysis.pool.resolve_workers); 0 = all cores
+        # repro.analysis.pool.resolve_workers); 0 = all cores, which the
+        # grid runner spells None
         if value == "auto":
             return value
-        return int(value)
+        workers = int(value)
+        if workers < 0:
+            raise argparse.ArgumentTypeError(
+                f"must be >= 0 or 'auto', got {workers}"
+            )
+        return workers or None
 
     def workers_arg(p: argparse.ArgumentParser, default=1) -> None:
         p.add_argument(
@@ -653,7 +657,7 @@ def _faults(args: argparse.Namespace) -> int:
         policies=tuple(args.policies),
         plans=plans,
         seed=args.seed,
-        workers=args.workers or None,
+        workers=args.workers,
     )
     print(
         f"# resilience — {args.distribution}, load={args.load:g}, "
@@ -724,7 +728,7 @@ def _autoscale(args: argparse.Namespace) -> int:
         ws_schedulers=ws_schedulers,
         ws_jobs=args.ws_jobs,
         seed=args.seed,
-        workers=args.workers or None,
+        workers=args.workers,
     )
     report = autoscale_report(
         rows,

@@ -17,7 +17,13 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-__all__ = ["ParallelismMode", "JobSpec", "JobState", "check_job_fields"]
+__all__ = [
+    "ParallelismMode",
+    "JobSpec",
+    "JobState",
+    "check_job_fields",
+    "default_span",
+]
 
 
 class ParallelismMode(enum.Enum):
@@ -73,6 +79,19 @@ def check_job_fields(
         span, work, rel_tol=1e-9
     ):
         raise ValueError("sequential jobs must have span == work")
+
+
+def default_span(work: float, mode: ParallelismMode, m: int) -> float:
+    """The span a job submitted without one gets on ``m`` processors.
+
+    The one statement of the rule: a sequential job's span is its work,
+    any other job's is ``work / m`` (its work spread evenly over the
+    whole machine).  The online scheduler fills a missing span in with
+    it, and the serving layer judges a submission's span with it, so a
+    ``work`` small enough that ``work / m`` underflows to 0 is refused
+    before it has any effect.
+    """
+    return work if mode is ParallelismMode.SEQUENTIAL else work / m
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,7 @@ from repro.core.job import JobSpec, ParallelismMode
 from repro.core.metrics import ScheduleResult
 from repro.core.rng import RngFactory
 from repro.dag.profile import ParallelismProfile
-from repro.flowsim.order import CompletionCalendar, OrderIndex, sparse_sum
+from repro.flowsim.order import CompletionCalendar, OrderIndex, rate_sum
 from repro.flowsim.policies.base import ActiveView, Policy
 from repro.flowsim.rates import dense_sum, equal_split
 from repro.perf.counters import PerfCounters
@@ -90,6 +90,9 @@ _ADMIT_TOL = 1e-15
 #: from the per-event crossover table in docs/performance.md ("Scalar
 #: backend for small active sets").
 SCALAR_MAX_ACTIVE = 48
+
+#: the promoted allocation while every processor is down: nothing served
+_NO_ALLOC = (np.empty(0, dtype=np.int64), (), np.empty(0), np.empty(0), 0.0)
 
 
 class FlowSimError(RuntimeError):
@@ -223,11 +226,12 @@ class FlowSimConfig:
     finish-time sweep — per-event work then scales with the *change*, not
     with ``n_active``.  The run starts on the dense paths and promotes the
     first time the active set reaches this many jobs (one O(n log n) build
-    from the live buffers; promotion is one-way).  Below a thousand-odd
+    from the live buffers; promotion is one-way).  Below a few thousand
     active jobs one C-speed ``np.lexsort`` per event beats Python-level
     order maintenance, so promoting immediately would *slow down*
-    low-concurrency runs — the default sits just under the measured
-    crossover (~1.5k for SRPT and FIFO alike).  ``0`` promotes at
+    low-concurrency runs.  The default, 1024, sits under the measured
+    crossover (~3k for SRPT and FIFO alike on the staircase ladder; see
+    docs/performance.md).  ``0`` promotes at
     construction (the pure-incremental mode ``repro.perf.scaling``
     measures); a threshold above the number of jobs keeps a run dense
     throughout (the comparator of the equivalence suites).  The
@@ -268,11 +272,11 @@ class _IncrementalCore:
     caught in that segment), so the dense ``rem <= tol`` sweep can be
     replaced by checking the served set plus the dust set.
 
-    The sparse allocation the order walk produces, ``(positions, rates,
-    rsum)``, lives in the stepper's one rate cache: positions into the
-    id-sorted active buffers, ascending, every rate strictly positive, so
-    the positions *are* the served set.  The cache is dropped on any
-    composition change, so the positions stay valid for its lifetime.
+    The sparse allocation the order walk produces (see
+    :meth:`FlowStepper._inc_build_alloc`) lives in the stepper's one rate
+    cache: the served set in ascending position order, every rate
+    strictly positive.  The cache is dropped on any composition change,
+    so its positions stay valid for its lifetime.
     """
 
     __slots__ = ("kind", "neg", "share", "beta", "order", "cal",
@@ -1726,7 +1730,7 @@ class FlowStepper:
                     # compute, no check-cadence tick
                     cache = None
                     if inc is not None:
-                        cur = (np.empty(0, dtype=np.int64), np.empty(0), 0.0)
+                        cur = _NO_ALLOC
                     else:
                         cur = (np.zeros(na, dtype=float), 0.0)
                 elif cache is not None:
@@ -1742,7 +1746,7 @@ class FlowStepper:
                     if inc is not None:
                         cur = self._inc_build_alloc(na, m_view)
                         if check:
-                            self._inc_check_alloc(cur, na, m_view)
+                            self._inc_check_alloc(cur, m_view)
                     else:
                         if plain:
                             caps = a_caps[:na]
@@ -1788,22 +1792,20 @@ class FlowStepper:
                     c_reuse += 1
 
                 if inc is not None:
-                    # sparse allocation: positions into the id-sorted
-                    # buffers, ascending, every rate strictly positive
-                    sp, rates, rsum = cur
-                    ns = sp.size
+                    # the served set: one gather of its remaining work and
+                    # one scatter back; only what a Python loop consumes
+                    # (the calendar's quotients, SRPT's keys) becomes a list
+                    sp, jl, rates, tols, rsum = cur
+                    ns = len(jl)
                     cal = inc.cal
                     if ns:
-                        rem_s = rem[sp]
+                        rem_s = new_s = rem[sp]
                         eff_s = rates * speed if speed != 1.0 else rates
-                        served_ids = ids[sp].tolist()
-                        newset = set(served_ids)
+                        newset = set(jl)
                         for j in inc.cal_jobs - newset:
                             cal.discard(j)
                         inc.cal_jobs = newset
-                        qs = (rem_s / eff_s).tolist()
-                        for i in range(ns):
-                            cal.update(served_ids[i], qs[i])
+                        cal.update_many(jl, (rem_s / eff_s).tolist())
                         dt = cal.min_quotient()
                     else:
                         if inc.cal_jobs:
@@ -1903,7 +1905,11 @@ class FlowStepper:
                 if dt > 0:
                     # ``rem`` is the live buffer slice: progress is applied
                     # in place, no gather/scatter against the job table
-                    if sp is None:
+                    if inc is not None:
+                        if ns:
+                            new_s = rem_s - eff_s * dt
+                            rem[sp] = new_s
+                    elif sp is None:
                         rem -= eff * dt
                     elif ns:
                         rem[sp] -= eff_s * dt
@@ -1917,31 +1923,19 @@ class FlowStepper:
                     t += dt
                     if inc is not None and ns and inc.kind == "remaining":
                         # the decremented delta: re-key every served job
-                        # so the order tracks live remaining work (SRPT);
-                        # pre-update keys come from the gather taken
-                        # before the scatter
-                        order = inc.order
-                        neg = inc.neg
-                        olds = rem_s.tolist()
-                        news = rem[sp].tolist()
-                        for i in range(ns):
-                            ov = olds[i]
-                            nv = news[i]
-                            if nv == ov:
-                                continue
-                            j = served_ids[i]
-                            if neg:
-                                order.remove(-ov, -j)
-                                order.insert(-nv, -j)
-                            else:
-                                order.remove(ov, j)
-                                order.insert(nv, j)
+                        # so the order tracks live remaining work (SRPT).
+                        # The walk served the order's head and no key
+                        # grew, so the re-keyed pairs are still its head
+                        inc.order.rekey_head(
+                            list(zip(rem_s.tolist(), jl)),
+                            list(zip(new_s.tolist(), jl)),
+                        )
 
                 # ---- completions: positions of finished jobs, ascending
                 if inc is not None:
                     # served ∪ dust covers every candidate: a non-dust
                     # job's rem only moves while it is served
-                    dpos = sp[rem[sp] <= a_tol[:na][sp]].tolist() if ns else []
+                    dpos = sp[new_s <= tols].tolist() if ns else []
                     if inc.dust:
                         seen = set(dpos)
                         for j in inc.dust:
@@ -2072,12 +2066,15 @@ class FlowStepper:
         # the dense vector gives way to the order walk's allocation
         self._rates_cache = None
 
-    def _inc_build_alloc(
-        self, na: int, m_view: int
-    ) -> tuple[np.ndarray, np.ndarray, float]:
-        """Sparse rate allocation from the live order: ``(positions,
-        rates, rsum)`` with positions ascending into the id-sorted
-        buffers and every rate strictly positive.
+    def _inc_build_alloc(self, na: int, m_view: int) -> tuple:
+        """Sparse rate allocation from the live order.
+
+        Returns ``(sp, ids, rates, tols, rsum)``: the served set in
+        ascending position order, every rate strictly positive — its
+        positions into the id-sorted buffers (an int64 array, for the
+        segment's one gather and one scatter), its job ids (a list, for
+        the calendar and the order), its rates and completion
+        tolerances (float arrays) — plus the total rate.
 
         Bit-for-bit equal to the dense policy compute restricted to its
         non-zero entries: the prefix walk replicates
@@ -2085,63 +2082,58 @@ class FlowStepper:
         floats, same break), the share walk replicates the masked
         :func:`~repro.flowsim.rates.equal_split` (the gathered call is
         bitwise equal on members), and ``rsum`` replicates
-        ``float(np.add.reduce(dense))`` via :func:`sparse_sum`.
+        ``float(np.add.reduce(dense))`` via
+        :func:`~repro.flowsim.order.rate_sum`.
         """
         inc = self._inc
         ids = self._a_ids[:na]
-        caps = self._a_caps
         neg = inc.neg
         limit = m_view < self.m
         mv = float(m_view)
         if inc.share:
             k = max(1, math.ceil(inc.beta * na))
-            head = inc.order.head(k)
-            jl = [(-tie if neg else tie) for _, tie in head]
-            pos = ids.searchsorted(np.asarray(jl, dtype=np.int64))
-            pos.sort()
-            c = self._a_caps[:na][pos]
+            jl = sorted([(-tie if neg else tie) for _, tie in inc.order.head(k)])
+            sp = ids.searchsorted(jl)
+            c = self._a_caps[sp]
             if limit:
                 c = np.minimum(c, mv)
             rates = equal_split(c, m_view)
-            rsum = sparse_sum(pos.tolist(), rates.tolist(), na)
-            return (pos, rates, rsum)
-        left = mv
-        pl: list[int] = []
-        rl: list[float] = []
-        for _, tie in inc.order:
-            p = int(ids.searchsorted(-tie if neg else tie))
-            c = float(caps[p])
-            if limit and mv < c:
-                c = mv
-            give = c if c < left else left
-            pl.append(p)
-            rl.append(give)
-            left -= give
-            if left <= 0:
-                break
-        pairs = sorted(zip(pl, rl))
-        pl = [p for p, _ in pairs]
-        rl = [g for _, g in pairs]
-        return (
-            np.asarray(pl, dtype=np.int64),
-            np.asarray(rl, dtype=float),
-            sparse_sum(pl, rl, na),
-        )
+            rl = rates.tolist()
+        else:
+            # caps come off the master column by job id, so the walk
+            # needs no position until it is over
+            caps = self._caps_all
+            base = self._base
+            left = mv
+            walked = []
+            for _, tie in inc.order:
+                j = -tie if neg else tie
+                c = caps.item(j - base)
+                if limit and mv < c:
+                    c = mv
+                give = c if c < left else left
+                walked.append((j, give))
+                left -= give
+                if left <= 0:
+                    break
+            walked.sort()
+            jl = [j for j, _ in walked]
+            rl = [g for _, g in walked]
+            sp = ids.searchsorted(jl)
+            rates = np.array(rl)
+        return sp, jl, rates, self._a_tol[sp], rate_sum(sp.tolist(), rl, na)
 
-    def _inc_check_alloc(
-        self, alloc: tuple[np.ndarray, np.ndarray, float],
-        na: int, m_view: int,
-    ) -> None:
+    def _inc_check_alloc(self, alloc: tuple, m_view: int) -> None:
         """Amortized invariant checks on a sparse allocation — the same
         cap / negativity / total-capacity verification the dense path
         runs, restricted to the non-zero entries (the zeros it skips
         satisfy all three trivially)."""
-        pos, rates, rsum = alloc
-        if not pos.size:
+        sp, _, rates, _, rsum = alloc
+        if not sp.size:
             return
         if (rates < -_RATE_TOL).any():
             raise FlowSimError(f"{self.policy.name}: negative rate")
-        caps = self._a_caps[:na][pos]
+        caps = self._a_caps[sp]
         if m_view < self.m:
             caps = np.minimum(caps, float(m_view))
         if (rates > caps * (1 + _RATE_TOL) + _RATE_TOL).any():

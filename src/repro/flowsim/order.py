@@ -29,14 +29,17 @@ pairwise tree over a virtual dense vector from just the non-zero
 entries in O(m log n) — exact because adding ``0.0`` to any finite
 non-negative partial is exact, so pruning all-zero subtrees never
 changes a bit (verified against ``np.add.reduce`` by a property test).
+The engine calls it through :func:`rate_sum`, which sums integral
+rates exactly without the tree.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from heapq import heapify, heappop, heappush
+from math import fsum
 
-__all__ = ["OrderIndex", "CompletionCalendar", "sparse_sum"]
+__all__ = ["OrderIndex", "CompletionCalendar", "sparse_sum", "rate_sum"]
 
 #: target block size: big enough that the Fenwick layer is tiny, small
 #: enough that an in-block insert memmove stays a few cache lines
@@ -44,6 +47,10 @@ _LOAD = 256
 
 #: numpy's pairwise-summation block size (PW_BLOCKSIZE)
 _PW_BLOCK = 128
+
+#: non-negative integers summing to at most this are added exactly in
+#: any association: every partial sum is an integer a double holds
+_EXACT_INT = 2.0**53
 
 
 class OrderIndex:
@@ -190,6 +197,67 @@ class OrderIndex:
             out.extend(block[:need] if len(block) > need else block)
         return out
 
+    def rekey_head(
+        self, old: list[tuple[float, int]], new: list[tuple[float, int]]
+    ) -> None:
+        """Replace the first ``len(old)`` pairs with ``new`` in one splice.
+
+        ``old`` must hold exactly the ``len(old)`` smallest pairs, in any
+        order, ``new[i]`` is ``old[i]`` re-keyed, and every new pair must
+        sort below the first pair past that prefix.  That is SRPT's
+        re-key: the order walk serves a prefix of the order, and a served
+        job's remaining work only shrinks, so its new pair still sorts
+        ahead of every unserved one.  The contents and ``ops`` end up as
+        one :meth:`remove` plus one :meth:`insert` per moved pair would
+        leave them, for O(k log k + load) work.  Both preconditions are
+        checked before anything changes; ``ValueError`` if one fails.
+        """
+        k = len(old)
+        if len(new) != k:
+            raise ValueError(f"{k} old pairs but {len(new)} new ones")
+        if not k:
+            return
+        old_sorted = sorted(old)
+        new_sorted = sorted(new)
+        head = self.head(k + 1)
+        if head[:k] != old_sorted:
+            raise ValueError("old pairs are not the index's first pairs")
+        if len(head) > k and not new_sorted[-1] < head[k]:
+            raise ValueError(
+                f"re-keyed pair {new_sorted[-1]} does not sort before {head[k]}"
+            )
+        moved = 0
+        for a, b in zip(old, new):
+            if a != b:
+                moved += 1
+        if not moved:
+            return
+        self.ops += 2 * moved
+        self._fen = None
+        blocks = self._blocks
+        maxes = self._maxes
+        # drop whole leading blocks, then splice the new pairs over the
+        # front of the first block left (its maximum stays put)
+        rest = k
+        b = 0
+        while b < len(blocks) and rest >= len(blocks[b]):
+            rest -= len(blocks[b])
+            b += 1
+        del blocks[:b]
+        del maxes[:b]
+        if blocks:
+            block = blocks[0]
+            block[:rest] = new_sorted
+        else:
+            block = new_sorted
+            blocks.append(block)
+            maxes.append(block[-1])
+        load = self._load
+        if len(block) > 2 * load:
+            parts = [block[i : i + load] for i in range(0, len(block), load)]
+            blocks[0:1] = parts
+            maxes[0:1] = [part[-1] for part in parts]
+
 
 class CompletionCalendar:
     """Lazy-invalidation heap of predicted completion quotients.
@@ -227,25 +295,41 @@ class CompletionCalendar:
 
     def update(self, job: int, q: float) -> None:
         """Set ``job``'s predicted quotient to ``q`` (no-op if unchanged)."""
-        cur = self._live.get(job)
-        if cur is not None:
-            if cur[1] == q:
-                return  # prediction still valid — entry survives as-is
-            self.invalidations += 1
-        epoch = self._seq
-        self._seq = epoch + 1
-        self._live[job] = (epoch, q)
+        self.update_many((job,), (q,))
+
+    def update_many(self, jobs, qs) -> None:
+        """:meth:`update` each ``jobs[i]`` to ``qs[i]``, in order, in one
+        call (the engine's per-segment update of the served set)."""
+        live = self._live
         heap = self._heap
-        heappush(heap, (q, job, epoch))
-        if len(heap) > 64 + 4 * len(self._live):
-            # amortized compaction: stale entries below the heap top are
-            # never popped lazily, so without this the heap grows with
-            # *events*, not with the served set (streamed runs must stay
-            # flat in memory).  Rebuilding from the live map returns the
-            # same minimum — ``min_quotient`` yields the quotient value,
-            # so ties between entries are unobservable.
-            self._heap = [(lq, j, ep) for j, (ep, lq) in self._live.items()]
-            heapify(self._heap)
+        push = heappush
+        epoch = self._seq
+        invalidated = 0
+        # the compaction bound, kept in step with len(live)
+        bound = 64 + 4 * len(live)
+        for job, q in zip(jobs, qs):
+            cur = live.get(job)
+            if cur is None:
+                bound += 4
+            elif cur[1] == q:
+                continue  # prediction still valid — entry survives as-is
+            else:
+                invalidated += 1
+            live[job] = (epoch, q)
+            push(heap, (q, job, epoch))
+            epoch += 1
+            if len(heap) > bound:
+                # amortized compaction: stale entries below the heap top
+                # are never popped lazily, so without this the heap grows
+                # with *events*, not with the served set (streamed runs
+                # must stay flat in memory).  Rebuilding from the live map
+                # returns the same minimum — ``min_quotient`` yields the
+                # quotient value, so ties between entries are unobservable.
+                heap = [(lq, j, ep) for j, (ep, lq) in live.items()]
+                heapify(heap)
+                self._heap = heap
+        self._seq = epoch
+        self.invalidations += invalidated
 
     def discard(self, job: int) -> None:
         """Drop ``job``'s entry (left the served set / completed)."""
@@ -318,3 +402,21 @@ def sparse_sum(pos: list[int], val: list[float], n: int) -> float:
         return rec(lo, half, plo, pm) + rec(mid, cnt - half, pm, phi)
 
     return rec(0, n, 0, m)
+
+
+def rate_sum(pos: list[int], val: list[float], n: int) -> float:
+    """:func:`sparse_sum` of a sparse allocation, exact and O(k) when
+    every rate is an integer.
+
+    Integral non-negative values whose total is at most 2**53 make every
+    partial sum of numpy's pairwise tree an exactly represented integer,
+    so the tree's result is the exact sum whatever its association —
+    ``math.fsum``.  SRPT, SJF and FIFO hand out only integral rates with
+    sequential or fully parallel caps on an integral capacity; anything
+    else (LAPS's equal shares, say) takes :func:`sparse_sum`.
+    """
+    if all(map(float.is_integer, val)):
+        total = fsum(val)
+        if total <= _EXACT_INT:
+            return total
+    return sparse_sum(pos, val, n)

@@ -50,6 +50,14 @@ class OrderSpec:
     * ``"share_topk"`` — :func:`repro.flowsim.rates.equal_split` over
       the first ``ceil(beta * n)`` jobs of the order (``beta`` read
       from the policy instance); touches O(beta n) jobs.
+
+    ``key="remaining"`` is accepted with the ascending ``"prefix"``
+    allocation only: SRPT's form, and the one the engine's re-key is
+    written for.  It re-keys the served jobs with one splice of the
+    order's head (:meth:`repro.flowsim.order.OrderIndex.rekey_head`),
+    which holds because the prefix walk serves the head and a served
+    job's key only shrinks (negated for a descending order, it would
+    grow).
     """
 
     key: str
@@ -61,6 +69,12 @@ class OrderSpec:
             raise ValueError(f"unknown order key {self.key!r}")
         if self.alloc not in ("prefix", "share_topk"):
             raise ValueError(f"unknown alloc {self.alloc!r}")
+        if self.key == "remaining" and (
+            self.descending or self.alloc != "prefix"
+        ):
+            raise ValueError(
+                "key='remaining' needs the ascending 'prefix' allocation"
+            )
 
 
 @dataclass(frozen=True)

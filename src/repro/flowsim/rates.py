@@ -61,18 +61,21 @@ def priority_waterfill(caps: np.ndarray, order: np.ndarray, m: float) -> np.ndar
         raise ValueError("order must be a permutation of range(len(caps))")
     rates = np.zeros(n, dtype=float)
     left = float(m)
-    # the loop touches at most m+1 jobs; running it on Python floats
-    # (``tolist`` — Python floats ARE IEEE doubles, so ``c if c < left``
-    # is the same arithmetic as the former ``min(float(caps[idx]), left)``)
-    # drops the per-element numpy scalar boxing the hot loop used to pay
-    caps_l = caps.tolist()
-    for idx in order.tolist():
-        c = caps_l[idx]
-        give = c if c < left else left
-        rates[idx] = give
-        left -= give
-        if left <= 0:
-            break
+    # the walk runs on Python floats (IEEE doubles, so ``c if c < left``
+    # is numpy's ``minimum``) and converts only the head it reaches: a
+    # chunk of floor(m)+1 entries, enough for every cap >= 1, then the
+    # next chunk while capacity is left (fractional caps)
+    step = int(left) + 1 if 0 <= left < n else n
+    lo = 0
+    while lo < n:
+        head = order[lo : lo + step]
+        for idx, c in zip(head.tolist(), caps[head].tolist()):
+            give = c if c < left else left
+            rates[idx] = give
+            left -= give
+            if left <= 0:
+                return rates
+        lo += step
     return rates
 
 

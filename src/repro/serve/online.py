@@ -24,7 +24,12 @@ from dataclasses import dataclass
 
 from repro.autoscale.controller import AutoscaleController
 from repro.autoscale.guard import AutoscaleConfig
-from repro.core.job import JobSpec, ParallelismMode, check_job_fields
+from repro.core.job import (
+    JobSpec,
+    ParallelismMode,
+    check_job_fields,
+    default_span,
+)
 from repro.core.metrics import ScheduleResult
 from repro.flowsim.engine import FlowSimConfig, FlowStepper
 from repro.flowsim.policies.base import Policy
@@ -279,7 +284,7 @@ class OnlineScheduler:
         if release is None:
             release = self.now
         if span is None:
-            span = work if mode is ParallelismMode.SEQUENTIAL else work / self.m
+            span = default_span(work, mode, self.m)
         check_job_fields(release, work, span, mode, weight)
         self._offered += 1
         decision = AdmissionDecision.ACCEPT

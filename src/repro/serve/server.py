@@ -44,7 +44,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from repro.core.job import ParallelismMode, check_job_fields
+from repro.core.job import ParallelismMode, check_job_fields, default_span
 from repro.flowsim.engine import FlowSimConfig
 from repro.flowsim.policies import policy_by_name
 from repro.serve.admission import AdmissionConfig, AdmissionController
@@ -446,7 +446,7 @@ class SchedulerServer:
         return out
 
     def _op_submit(self, request: dict) -> dict:
-        fields = submit_fields(request)
+        fields = submit_fields(request, self.scheduler.m)
         release = fields["release"]
         if self.config.clock == "wall":
             self.scheduler.advance_to(self._wall_now())
@@ -634,16 +634,18 @@ def advance_field(request: dict) -> float:
     return float(to)
 
 
-def submit_fields(request: dict) -> dict:
+def submit_fields(request: dict, m: int) -> dict:
     """Checked, normalised fields of a ``submit`` request.
 
     Returns ``work``, ``span``, ``mode``, ``weight``, ``release`` and
     ``tenant``; ``release`` stays ``None`` when the request has none,
-    for the caller to resolve against its own clock.  Raises
-    ``ValueError`` on a malformed field, a non-finite number included,
-    or on numbers :class:`~repro.core.job.JobSpec` would refuse, before
-    anything is journaled or admitted — the server and the shard router
-    both check with this one function.
+    for the caller to resolve against its own clock.  A missing ``span``
+    is resolved to the mode's default on the ``m`` processors of the
+    scheduler that will run the job (:func:`~repro.core.job.default_span`).
+    Raises ``ValueError`` on a malformed field, a non-finite number
+    included, or on numbers :class:`~repro.core.job.JobSpec` would
+    refuse, before anything is journaled or admitted — the server and
+    the shard router both check with this one function.
     """
     work = request.get("work")
     if not _finite_number(work) or not work > 0:
@@ -663,20 +665,19 @@ def submit_fields(request: dict) -> dict:
         if not _finite_number(release):
             raise ValueError("release must be a finite number")
         release = float(release)
-    # a missing release or span is filled in later (the clock, the mode's
-    # default span), so only the given ones are judged here
+    work = float(work)
+    if span is None:
+        span = default_span(work, kind, m)
+    # a missing release is filled in later from the caller's clock, so
+    # only a given one is judged here
     check_job_fields(
-        0.0 if release is None else release,
-        work,
-        work if span is None else span,
-        kind,
-        weight,
+        0.0 if release is None else release, work, span, kind, weight
     )
     tenant = request.get("tenant")
     if tenant is not None and (not isinstance(tenant, str) or not tenant):
         raise ValueError("tenant must be a non-empty string")
     return {
-        "work": float(work),
+        "work": work,
         "span": span,
         "mode": mode,
         "weight": float(weight),

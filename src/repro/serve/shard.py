@@ -624,7 +624,14 @@ class ShardRouter:
         active, backlog = self._active_view, self._backlog_view
         for i, item in enumerate(items):
             try:
-                fields = submit_fields(item)
+                # routing is a pure function of the key, so the owning
+                # shard is known before admission and judges the span
+                # with its own m
+                key = item.get("key")
+                if key is None:
+                    key = item.get("tenant") or DEFAULT_TENANT
+                name = self.ring.route(key)
+                fields = submit_fields(item, self.shards[name].config.m)
                 label = fields["tenant"] or DEFAULT_TENANT
                 release = fields["release"]
                 if release is None:
@@ -650,8 +657,6 @@ class ShardRouter:
                             "tenant": label,
                         }
                         continue
-                key = item.get("key")
-                name = self.ring.route(key if key is not None else label)
             except Exception as exc:  # noqa: BLE001 — one item, one error
                 outcomes[i] = exc
                 continue

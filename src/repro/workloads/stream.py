@@ -62,9 +62,8 @@ class JobStream(Iterator[JobSpec]):
 
     Wraps any iterable of :class:`JobSpec` and enforces the engines'
     ingestion contract *as jobs flow through*: releases non-decreasing
-    and ids dense from 0.  With ``assign_ids=True`` the wrapper re-stamps
-    dense ids on the fly instead of rejecting sparse ones — the path SWF
-    traces and filtered streams take.
+    and ids dense from 0.  A producer that filters its records (the SWF
+    reader, say) stamps the dense ids itself.
 
     A stream is single-use (it is an iterator, not a container); use the
     producer again for a second pass.
@@ -74,12 +73,10 @@ class JobStream(Iterator[JobSpec]):
         self,
         source: Iterable[JobSpec],
         *,
-        assign_ids: bool = False,
         name: str = "stream",
         meta: dict | None = None,
     ) -> None:
         self._it = iter(source)
-        self._assign_ids = bool(assign_ids)
         self.name = name
         self.meta = dict(meta or {})
         self._next_id = 0
@@ -90,10 +87,7 @@ class JobStream(Iterator[JobSpec]):
 
     def __next__(self) -> JobSpec:
         spec = next(self._it)
-        if self._assign_ids:
-            if spec.job_id != self._next_id:
-                spec = replace(spec, job_id=self._next_id)
-        elif spec.job_id != self._next_id:
+        if spec.job_id != self._next_id:
             raise ValueError(
                 f"stream ids must be dense 0..n-1 in release order: "
                 f"expected {self._next_id}, got {spec.job_id}"

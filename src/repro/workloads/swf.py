@@ -126,6 +126,9 @@ _INT_FIELDS = frozenset(
     )
 )
 
+#: the converter of each field, in ``SWF_FIELDS`` order
+_CONVERTERS = tuple(int if name in _INT_FIELDS else float for name in SWF_FIELDS)
+
 
 def read_swf(source: str | Path | Iterable[str]) -> Iterator[SwfJob]:
     """Stream :class:`SwfJob` records from a path or iterable of lines.
@@ -143,27 +146,31 @@ def read_swf(source: str | Path | Iterable[str]) -> Iterator[SwfJob]:
 
 
 def _parse_lines(lines: Iterable[str]) -> Iterator[SwfJob]:
+    n_fields = len(SWF_FIELDS)
     for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith(";"):
-            continue
-        fields = stripped.split()
-        if len(fields) != len(SWF_FIELDS):
+        fields = line.split()
+        if not fields or fields[0].startswith(";"):
+            continue  # blank, or a comment after any leading whitespace
+        if len(fields) != n_fields:
             raise SwfParseError(
-                lineno, line, f"expected {len(SWF_FIELDS)} fields, got {len(fields)}"
+                lineno, line, f"expected {n_fields} fields, got {len(fields)}"
             )
-        values = {}
-        for name, raw in zip(SWF_FIELDS, fields):
-            try:
-                if name in _INT_FIELDS:
-                    values[name] = int(raw)
-                else:
-                    values[name] = float(raw)
-            except ValueError:
-                raise SwfParseError(
-                    lineno, line, f"field {name!r} is not numeric ({raw!r})"
-                ) from None
-        yield SwfJob(**values)
+        try:
+            values = [conv(raw) for conv, raw in zip(_CONVERTERS, fields)]
+        except ValueError:
+            raise SwfParseError(lineno, line, _non_numeric(fields)) from None
+        yield SwfJob(*values)
+
+
+def _non_numeric(fields: list[str]) -> str:
+    """The parse error naming the first field of ``fields`` that does
+    not convert (the slow path, taken once per malformed line)."""
+    for name, conv, raw in zip(SWF_FIELDS, _CONVERTERS, fields):
+        try:
+            conv(raw)
+        except ValueError:
+            return f"field {name!r} is not numeric ({raw!r})"
+    raise AssertionError("every field converts")  # pragma: no cover
 
 
 def format_swf_line(job: SwfJob) -> str:
@@ -196,14 +203,16 @@ def swf_stream(
     jobs ``SEQUENTIAL``.  Records with unknown/zero run time are dropped,
     as are non-completed jobs unless ``completed_only=False`` (status 1 =
     completed; ``-1`` = unknown is kept, matching archive practice).
-    Job ids are re-densified in submit order; out-of-order submits are a
-    contract violation surfaced by the stream wrapper.
+    Job ids are stamped dense, in submit order, on the records the
+    filters keep; out-of-order submits are a contract violation surfaced
+    by the stream wrapper.
     """
     if not time_scale > 0:
         raise ValueError("time_scale must be > 0")
 
     def _jobs() -> Iterator[JobSpec]:
         first_submit: float | None = None
+        job_id = 0
         for rec in read_swf(source):
             if rec.run_time <= min_run_time:
                 continue
@@ -215,7 +224,7 @@ def swf_stream(
             span = rec.run_time * time_scale
             work = span * procs
             yield JobSpec(
-                job_id=0,  # re-densified by the stream wrapper
+                job_id=job_id,
                 release=(rec.submit_time - first_submit) * time_scale,
                 work=work,
                 span=span,
@@ -225,13 +234,13 @@ def swf_stream(
                     else ParallelismMode.SEQUENTIAL
                 ),
             )
+            job_id += 1
 
     label = name
     if label is None:
         label = Path(source).stem if isinstance(source, (str, Path)) else "swf"
     return JobStream(
         _jobs(),
-        assign_ids=True,
         name=label,
         meta={"format": "swf", "time_scale": time_scale},
     )

@@ -208,6 +208,50 @@ def test_incremental_kernel_actually_engages():
     assert inc.flow_times.tolist() == dense.flow_times.tolist()
 
 
+#: the promoted kernel's counters on an overloaded stream (load 0.9 for
+#: 16 processors replayed on 10) whose active set climbs far past a
+#: lowered promotion threshold.  Every order mutation, calendar pop and
+#: invalidation is part of the kernel's contract: a change to how it
+#: batches that work must leave each of them in place.
+PROMOTED_PINS = {
+    "srpt": {
+        "events": 8000,
+        "batch_jumps": 3,
+        "batch_events_folded": 3269,
+        "order_ops": 68836,
+        "calendar_pops": 6903,
+        "calendar_invalidations": 32655,
+        "mean_flow": 314.5478362160614,
+    },
+    "fifo": {
+        "events": 8000,
+        "batch_jumps": 6,
+        "batch_events_folded": 8000,
+        "order_ops": 6730,
+        "calendar_pops": 12877,
+        "calendar_invalidations": 64685,
+        "mean_flow": 1040.9405278361405,
+    },
+}
+
+
+@pytest.mark.parametrize("policy", sorted(PROMOTED_PINS))
+def test_promoted_kernel_counters_pinned(policy):
+    from repro.workloads.stream import generate_stream
+
+    res = simulate_stream(
+        generate_stream(4000, "exponential", 0.9, 16, seed=0),
+        10,
+        policy_by_name(policy),
+        config=FlowSimConfig(incremental_min_active=256),
+    )
+    perf = res.extra["perf"]
+    got = {key: perf.get(key, 0) for key in PROMOTED_PINS[policy]}
+    got["events"] = res.extra["events"]
+    got["mean_flow"] = res.mean_flow
+    assert got == PROMOTED_PINS[policy]
+
+
 def test_object_path_forces_dense_fallback():
     """A policy without the vectorized hook has nothing for its order
     spec to describe; the engine must stay on the object path, even at a
@@ -293,6 +337,40 @@ def test_promotion_threshold_defers_structures():
     assert dict(promoted.extra.get("perf", {})).get("order_ops", 0) > 0
     assert promoted.flow_times.tolist() == dense.flow_times.tolist()
     assert promoted.extra["events"] == dense.extra["events"]
+
+
+def test_sparse_allocation_checks_refuse_bad_rates():
+    """The amortized checks on a promoted allocation refuse a negative
+    rate, a rate above its job's cap (clipped to the processors up) and
+    a total above the machine, and pass the walk's own allocation."""
+    import numpy as np
+
+    from repro.flowsim.engine import FlowSimError
+
+    stepper = FlowStepper(4, policy_by_name("srpt"), config=INC)
+    for i in range(6):
+        mode = ParallelismMode.FULLY_PARALLEL if i % 2 else ParallelismMode.SEQUENTIAL
+        stepper.add_job(
+            JobSpec(job_id=i, release=0.0, work=8.0,
+                    span=8.0 if i % 2 == 0 else 2.0, mode=mode)
+        )
+    stepper.step(horizon=1e-3)  # admits all six, completes none
+    assert stepper.active_ids() == list(range(6))
+    alloc = stepper._inc_build_alloc(stepper._na, 4)
+    stepper._inc_check_alloc(alloc, 4)
+
+    def fake(pos, rates):
+        return (np.asarray(pos, dtype=np.int64), pos, np.asarray(rates), None, sum(rates))
+
+    stepper._inc_check_alloc(fake([0, 1], [1.0, 3.0]), 4)
+    with pytest.raises(FlowSimError, match="negative rate"):
+        stepper._inc_check_alloc(fake([0], [-1.0]), 4)
+    with pytest.raises(FlowSimError, match="per-job cap"):
+        stepper._inc_check_alloc(fake([0], [2.0]), 4)  # sequential: cap 1
+    with pytest.raises(FlowSimError, match="per-job cap"):
+        stepper._inc_check_alloc(fake([1], [3.0]), 2)  # 2 processors up
+    with pytest.raises(FlowSimError, match="exceeds m=4"):
+        stepper._inc_check_alloc(fake([1, 3], [4.0, 4.0]), 4)
 
 
 # -- satellite (c): empty-active-set step under mass eviction ------------

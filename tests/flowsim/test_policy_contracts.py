@@ -92,3 +92,31 @@ class TestPolicyContracts:
         assert (rates >= -1e-12).all()
         assert (rates <= caps + 1e-9).all()
         assert rates.sum() <= 4 + 1e-9
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"key": "remaining", "descending": True},
+        {"key": "remaining", "alloc": "share_topk"},
+        {"key": "remaining", "descending": True, "alloc": "share_topk"},
+        {"key": "deadline"},
+        {"key": "work", "alloc": "round_robin"},
+    ],
+)
+def test_order_spec_refuses_what_the_engine_cannot_maintain(kwargs):
+    """The engine re-keys remaining-work orders by splicing the order's
+    head, which holds only for the ascending prefix walk."""
+    from repro.flowsim.policies.base import OrderSpec
+
+    with pytest.raises(ValueError):
+        OrderSpec(**kwargs)
+
+
+def test_every_declared_order_spec_is_accepted():
+    from repro.flowsim.policies.base import OrderSpec
+
+    for name in ALL_POLICIES:
+        spec = getattr(policy_by_name(name), "order_spec", None)
+        if spec is not None:
+            assert OrderSpec(spec.key, spec.descending, spec.alloc) == spec

@@ -36,6 +36,53 @@ class TestPriorityWaterfill:
             priority_waterfill(np.array([1.0, 1.0]), np.array([0]), m=1)
 
 
+def _full_walk_waterfill(caps, order, m):
+    """The walk converting every cap and the whole order up front: the
+    oracle :func:`priority_waterfill`'s head-only walk must match."""
+    caps = np.asarray(caps, dtype=float)
+    rates = np.zeros(caps.size, dtype=float)
+    left = float(m)
+    caps_l = caps.tolist()
+    for idx in np.asarray(order).tolist():
+        c = caps_l[idx]
+        give = c if c < left else left
+        rates[idx] = give
+        left -= give
+        if left <= 0:
+            break
+    return rates
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.one_of(st.integers(0, 12), st.integers(200, 2000)),
+    m=st.one_of(
+        st.integers(0, 16),
+        st.floats(0.0, 16.0, allow_nan=False),
+        st.sampled_from([-1.0, 1e6, float("inf")]),
+    ),
+    cap_kind=st.sampled_from(["unit", "fraction", "mixed", "parallel"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_waterfill_head_walk_equals_full_walk(n, m, cap_kind, seed):
+    """Bit for bit the full walk: caps in (0, 1) carry the walk across
+    chunk boundaries, m = 0 and n below m + 1 end it early or never,
+    and n far above m + 1 leaves most of the order unread."""
+    rng = np.random.default_rng(seed)
+    if cap_kind == "unit":
+        caps = np.ones(n)
+    elif cap_kind == "fraction":
+        caps = rng.uniform(0.01, 1.0, n)
+    elif cap_kind == "mixed":
+        caps = rng.choice([0.25, 1.0, 3.0, 7.5], n)
+    else:
+        caps = np.full(n, 16.0)
+    order = rng.permutation(n)
+    got = priority_waterfill(caps, order, m)
+    want = _full_walk_waterfill(caps, order, m)
+    assert got.tobytes() == want.tobytes()
+
+
 class TestEqualSplit:
     def test_plain_even_split(self):
         rates = equal_split(np.array([4.0, 4.0, 4.0]), m=6)

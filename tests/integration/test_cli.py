@@ -29,6 +29,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert "steal-first" in out and "admit-first" in out
 
+    def test_fig3_workers_zero_means_all_cores(self, capsys):
+        argv = ["fig3", "--n-jobs", "8", "--m", "2"]
+        assert main(argv + ["--workers", "1"]) == 0
+        serial = capsys.readouterr().out
+        assert main(argv + ["--workers", "0"]) == 0
+        assert capsys.readouterr().out == serial
+
+    @pytest.mark.parametrize("command", ["fig1", "fig3", "faults"])
+    def test_negative_workers_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--workers", "-1"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
     def test_preemptions(self, capsys):
         rc = main(["preemptions", "--n-jobs", "500", "--m", "4"])
         assert rc == 0

@@ -232,6 +232,8 @@ class TestOutOfRangeSubmit:
             {"span": 5.0},
             {"span": 0.5},
             {"span": 5.0, "mode": "fully_parallel"},
+            # no span: the default work / m underflows to 0
+            {"work": 5e-324, "mode": "fully_parallel"},
         ],
     )
     def test_refused_before_any_effect(self, tmp_path, bad):

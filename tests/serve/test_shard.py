@@ -231,6 +231,8 @@ def test_router_checks_a_submit_before_admission():
         {"work": 1.0, "release": -1.0},
         {"work": 1.0, "span": 5.0},
         {"work": 1.0, "span": 0.5},
+        # no span: the routed shard's default work / m underflows to 0
+        {"work": 5e-324, "mode": "fully_parallel"},
     ]
     with build_local_router(
         2, m=2, policy="srpt", seed=1, tenancy=TenancyConfig(credit_rate=0.5)

@@ -36,13 +36,6 @@ class TestJobStreamContract:
         with pytest.raises(ValueError, match="sorted by release"):
             next(s)
 
-    def test_assign_ids_restamps(self):
-        s = JobStream(
-            [_spec(7, 0.0), _spec(3, 1.0)], assign_ids=True
-        )
-        assert [j.job_id for j in s] == [0, 1]
-        assert s.n_consumed == 2
-
     def test_single_use(self):
         s = JobStream([_spec(0, 0.0)])
         assert len(list(s)) == 1

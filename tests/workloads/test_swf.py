@@ -102,6 +102,61 @@ def test_non_numeric_field_rejected():
         list(read_swf([line]))
 
 
+GOOD_LINE = "1 0 0 10 2 -1 -1 2 20 -1 1 1 1 1 1 -1 -1 -1"
+
+
+@pytest.mark.parametrize("i", range(len(SWF_FIELDS)))
+def test_each_non_numeric_field_is_named(i):
+    """A bad value in any of the 18 fields names that field and its
+    1-based line, in the message the reader has always given."""
+    fields = GOOD_LINE.split()
+    fields[i] = "x1" if i % 2 else "1.5.2"
+    line = "  " + " ".join(fields) + "\n"
+    with pytest.raises(SwfParseError) as exc:
+        list(read_swf(["; header", GOOD_LINE, line]))
+    name = SWF_FIELDS[i]
+    assert exc.value.lineno == 3
+    assert str(exc.value) == (
+        f"SWF line 3: field {name!r} is not numeric ({fields[i]!r}): "
+        f"{line.strip()!r}"
+    )
+
+
+def test_int_field_refuses_a_fraction():
+    fields = GOOD_LINE.split()
+    fields[4] = "2.5"  # allocated_procs
+    with pytest.raises(SwfParseError, match="'allocated_procs' is not numeric"):
+        list(read_swf([" ".join(fields)]))
+
+
+def test_indented_comment_skipped():
+    lines = ["   ; indented comment", "\t;tabbed", "  ", GOOD_LINE]
+    jobs = list(read_swf(lines))
+    assert len(jobs) == 1
+    assert jobs[0].allocated_procs == 2 and jobs[0].requested_time == 20.0
+
+
+def test_stream_stamps_dense_ids_after_its_filters():
+    def rec(n, submit, run, status):
+        return f"{n} {submit} 0 {run} 1 -1 -1 1 -1 -1 {status} -1 -1 -1 -1 -1 -1 -1"
+
+    lines = [
+        rec(10, 5, 3, 1),
+        rec(11, 6, 4, 5),  # cancelled: dropped
+        rec(12, 7, -1, 1),  # unknown run time: dropped
+        rec(13, 8, 2, -1),
+        rec(14, 9, 1, 1),
+    ]
+    stream = swf_stream(lines)
+    specs = list(stream)
+    assert [s.job_id for s in specs] == [0, 1, 2]
+    assert [s.release for s in specs] == [0.0, 3.0, 4.0]
+    assert stream.n_consumed == 3
+    assert stream.meta["format"] == "swf"
+    kept = list(swf_stream(lines, completed_only=False))
+    assert [s.job_id for s in kept] == [0, 1, 2, 3]
+
+
 def test_parse_error_carries_line_number():
     lines = ["; comment", "", "1 2 3 4"]
     with pytest.raises(SwfParseError) as exc:
