@@ -190,7 +190,9 @@ class _DrepBase(Policy):
 
         The table is read and written once per processor through scalar
         indexing for up to ``_SCALAR_MOVES`` processors, and once per
-        batch through an index array above that.
+        batch through an index array above that, where the bookkeeping
+        runs per job (:meth:`_move_by_job`) unless a target is also an
+        old owner.
         """
         assignment = self._assignment
         if len(procs) == 1:
@@ -206,8 +208,27 @@ class _DrepBase(Policy):
                 assignment[p] = t
         else:
             idx = np.array(procs)
-            moves = zip(procs, assignment[idx].tolist(), targets)
+            olds = assignment[idx].tolist()
+            jobs = set(targets)
+            if jobs.isdisjoint(olds):
+                # every caller's batch: each target's processors, in
+                # batch order, targets in order of first appearance
+                if len(jobs) == 1:
+                    assignment[idx] = targets[0]
+                    gained = {targets[0]: list(procs)}
+                else:
+                    assignment[idx] = targets
+                    gained = {}
+                    for p, t in zip(procs, targets):
+                        got = gained.get(t)
+                        if got is None:
+                            gained[t] = [p]
+                        else:
+                            got.append(p)
+                self._move_by_job(procs, olds, gained, preempt)
+                return
             assignment[idx] = targets
+            moves = zip(procs, olds, targets)
         procs_of = self._procs_of
         dirty = self._rate_dirty
         last = self._last_proc
@@ -237,6 +258,59 @@ class _DrepBase(Policy):
             elif proc not in seen:
                 self._migrations += 1
                 seen.add(proc)
+
+    def _move_by_job(
+        self,
+        procs: list[int],
+        olds: list[int],
+        gained: dict[int, list[int]],
+        preempt: bool,
+    ) -> None:
+        """:meth:`_move`'s bookkeeping per job, for a batch whose targets
+        include no old owner: ``olds[i]`` is ``procs[i]``'s old owner, and
+        ``gained`` maps each target to its processors in batch order.
+
+        Then an old owner only loses processors and a target only gains
+        them, so the per-move loop's end state is one filter per old
+        owner's list, one extend per target (new keys in order of first
+        appearance), counts from ``olds``, and ``_last_proc`` by set
+        arithmetic: a job's first processor is no migration.
+        """
+        n = len(procs)
+        n_free = olds.count(_FREE)
+        n_unowned = n_free + olds.count(_DOWN)
+        if preempt:
+            self._preemptions += n - n_free
+        self._switches += n
+        self._n_assigned += n_unowned
+        procs_of = self._procs_of
+        dirty = self._rate_dirty
+        if n_unowned < n:
+            moved = set(procs)
+            for old in dict.fromkeys(olds):
+                if old >= 0:
+                    dirty.add(old)
+                    kept = [p for p in procs_of[old] if p not in moved]
+                    if kept:
+                        procs_of[old] = kept
+                    else:
+                        del procs_of[old]
+        last = self._last_proc
+        for t, got in gained.items():
+            dirty.add(t)
+            held = procs_of.get(t)
+            if held is None:
+                procs_of[t] = got
+            else:
+                held.extend(got)
+            seen = last.get(t)
+            if seen is None:
+                last[t] = set(got)
+                self._migrations += len(got) - 1
+            else:
+                k = len(seen)
+                seen.update(got)
+                self._migrations += len(seen) - k
 
     def _release_procs_of(self, job_id: int) -> list[int]:
         """Free every processor of ``job_id``; ascending processor order."""

@@ -76,7 +76,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.metrics import ScheduleResult
-from repro.core.rng import RngFactory
+from repro.core.rng import DrawStream, RngFactory
 from repro.dag.graph import NO_CHILD
 from repro.perf.counters import PerfCounters
 from repro.wsim.structures import JobRun, Worker, WsDeque
@@ -265,11 +265,16 @@ class WsRuntime:
         self._speed_list = (
             None if speeds is None else [float(x) for x in speeds]
         )
-        self.rng = RngFactory(seed).stream(f"wsim/{scheduler.name}")
+        #: every draw of the run — schedulers', steal_within's and the
+        #: run loop's — goes through this one stream (synced whenever
+        #: run() returns or raises)
+        self.rng = DrawStream(
+            RngFactory(seed).stream(f"wsim/{scheduler.name}")
+        )
         # bound-method caches: steal_within draws once per attempt and
         # out_of_work dispatches once per stuck worker-step; both
         # attribute chains are measurable at those call rates
-        self._rng_integers = self.rng.integers
+        self._rng_index = self.rng.index
         self._out_of_work = scheduler.out_of_work
         self.workers = [Worker(wid=i) for i in range(m)]
         #: all arrived, unfinished jobs — the paper's A(t).  Schedulers
@@ -470,7 +475,16 @@ class WsRuntime:
         metrics accumulator (the :func:`simulate_ws_stream` wrapper
         assembles the :class:`~repro.core.metrics.StreamResult` from it
         and ``self._run_extra``).
+
+        However the run ends, :attr:`rng` is synced on the way out, so
+        its bit generator holds the state per-call draws would leave.
         """
+        try:
+            return self._run(observer)
+        finally:
+            self.rng.sync()
+
+    def _run(self, observer) -> "ScheduleResult | None":
         self.scheduler.reset(self)
         n = math.inf if self._streaming else len(self.trace)
         # bulk jumps are only sound when the per-step machinery is pure
@@ -497,7 +511,7 @@ class WsRuntime:
             else None
         )
         self._out_of_work = self.scheduler.out_of_work
-        rng_integers = self._rng_integers
+        rng_index = self._rng_index
         workers = self._live_workers
         debug = self.config.debug_invariants
         scheduler_on_step = self.scheduler.on_step
@@ -629,7 +643,7 @@ class WsRuntime:
                                     counters.steal_attempts += 1
                                     counters.failed_steals += 1
                                     if nv >= 2:
-                                        rng_integers(nv)
+                                        rng_index(nv)
                                     continue
                         act(worker)
                         if worker.current is not None or (
@@ -1288,7 +1302,7 @@ class WsRuntime:
             if bounds is not None:
                 # one array draw == the interleaved scalar draws, values
                 # discarded exactly as the failing per-step path would
-                self._rng_integers(np.tile(np.asarray(bounds), k))
+                self.rng.integers(np.tile(np.asarray(bounds), k))
         if n_blocked:
             counters.overhead_steps += k * n_blocked
         self._h_fail = 0
@@ -1473,7 +1487,7 @@ class WsRuntime:
         # tests/wsim/test_rng_draws.py), so skipping the call keeps the
         # draw sequence — and rng_digest goldens — bit-identical
         victim = (
-            victims[0] if nv == 1 else victims[int(self._rng_integers(nv))]
+            victims[0] if nv == 1 else victims[self._rng_index(nv)]
         )
         nodes = victim.nodes
         if victim.owner is None:  # muggable

@@ -57,5 +57,5 @@ class AdmitFirstWS(WsScheduler):
         if not victims:
             self.idle(worker)
             return
-        victim = victims[int(self.rng.integers(len(victims)))]
+        victim = victims[self.rng.index(len(victims))]
         rt.steal_from_worker(worker, victim)

@@ -76,7 +76,7 @@ class CentralGreedyWS(WsScheduler):
             w for w in self.rt.up_workers() if w.dq is not None and w.dq.nodes
         ]
         if donors:
-            victim = donors[int(self.rng.integers(len(donors)))]
+            victim = donors[self.rng.index(len(donors))]
             worker.current = victim.dq.steal_top()
             return  # execution starts next step
         self.idle(worker)

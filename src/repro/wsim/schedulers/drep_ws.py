@@ -61,14 +61,7 @@ class DrepWS(WsScheduler):
             if worker.job is job:
                 active = rt.active
                 if active:
-                    # integers(1) returns 0 without consuming generator
-                    # state (tests/wsim/test_rng_draws.py), so a
-                    # single-job redraw skips the call — same sequence
-                    pick = (
-                        active[0]
-                        if len(active) == 1
-                        else active[int(self.rng.integers(len(active)))]
-                    )
+                    pick = active[self.rng.index(len(active))]
                     rt.switch_worker(worker, pick, preempt=False)
                 else:
                     rt.switch_worker(worker, None, preempt=False)
@@ -89,11 +82,7 @@ class DrepWS(WsScheduler):
         rt = self.rt
         active = rt.active
         if active:
-            pick = (
-                active[0]
-                if len(active) == 1
-                else active[int(self.rng.integers(len(active)))]
-            )
+            pick = active[self.rng.index(len(active))]
             rt.switch_worker(worker, pick, preempt=False)
         else:
             self.idle(worker)

@@ -86,7 +86,7 @@ class LapsQuantumWS(WsScheduler):
         for worker in rt.up_workers():
             if worker.job is job:
                 if served:
-                    pick = served[int(self.rng.integers(len(served)))]
+                    pick = served[self.rng.index(len(served))]
                     rt.switch_worker(worker, pick, preempt=False)
                 else:
                     rt.switch_worker(worker, None, preempt=False)
@@ -97,7 +97,7 @@ class LapsQuantumWS(WsScheduler):
         if job is None or job.done:
             served = self._served_set()
             if served:
-                pick = served[int(self.rng.integers(len(served)))]
+                pick = served[self.rng.index(len(served))]
                 rt.switch_worker(worker, pick, preempt=False)
             else:
                 self.idle(worker)

@@ -74,7 +74,7 @@ class RrQuantumWS(WsScheduler):
         for worker in rt.up_workers():
             if worker.job is job:
                 if rt.active:
-                    pick = rt.active[int(self.rng.integers(len(rt.active)))]
+                    pick = rt.active[self.rng.index(len(rt.active))]
                     rt.switch_worker(worker, pick, preempt=False)
                 else:
                     rt.switch_worker(worker, None, preempt=False)
@@ -84,7 +84,7 @@ class RrQuantumWS(WsScheduler):
         job = worker.job
         if job is None or job.done:
             if rt.active:
-                pick = rt.active[int(self.rng.integers(len(rt.active)))]
+                pick = rt.active[self.rng.index(len(rt.active))]
                 rt.switch_worker(worker, pick, preempt=False)
             else:
                 self.idle(worker)

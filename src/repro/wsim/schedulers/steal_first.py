@@ -74,7 +74,7 @@ class StealFirstWS(WsScheduler):
         if exhausted and self._admit(worker):
             return
         if victims:
-            victim = victims[int(self.rng.integers(len(victims)))]
+            victim = victims[self.rng.index(len(victims))]
             if rt.steal_from_worker(worker, victim):
                 worker.failed_steals = 0
                 return
