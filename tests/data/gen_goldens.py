@@ -46,7 +46,7 @@ FLOW_SEQ_POLICIES = [
 ]
 FLOW_PAR_POLICIES = ["srpt", "swf", "rr", "laps", "drep-par"]
 
-WS_SCHEDULERS = ["drep", "steal-first", "admit-first", "swf", "rr"]
+WS_SCHEDULERS = ["drep", "steal-first", "admit-first", "swf", "rr", "laps"]
 #: the Figure 3 schedulers pinned at the paper's m = 16
 FIG3_SCHEDULERS = ["swf", "steal-first", "admit-first"]
 

@@ -9,7 +9,7 @@ from repro.core.job import JobSpec, ParallelismMode
 from repro.faults import FaultEvent, FaultPlan, named_fault_plans
 from repro.dag.generators import chain
 from repro.workloads.traces import Trace, attach_dags, generate_trace
-from repro.wsim.runtime import simulate_ws
+from repro.wsim.runtime import WsRuntime, simulate_ws
 from repro.wsim.schedulers import ws_scheduler_by_name
 
 SCHEDULERS = ["drep", "steal-first", "admit-first", "central-greedy", "rr"]
@@ -71,6 +71,47 @@ class TestCrashSemantics:
         assert finfo["lost_work"] == pytest.approx(3.0)
         assert finfo["dead_steps"] >= 5
         assert hit.flow_times[0] > base.flow_times[0]
+
+    @pytest.mark.parametrize(
+        "name, kind, flow",
+        [
+            ("drep", "drain", 42.0),
+            ("drep", "crash", 45.0),
+            ("admit-first", "drain", 41.0),
+            ("admit-first", "crash", 44.0),
+        ],
+    )
+    def test_drain_keeps_the_partial_node_a_crash_redoes(self, name, kind, flow):
+        # the crash test's set-up, taken down by hand: worker 0 leaves at
+        # step 4 holding 3 executed units of a 10-unit node and returns
+        # at step 9.  A drain hands the node over with its progress
+        # (preserved_work), a crash resets it to full weight (lost_work),
+        # so the crash finishes 3 steps later under both scheduler
+        # families (DREP's per-job deques, admit-first's global pool)
+        dag = chain(40, granularity=10)
+        spec = JobSpec(
+            job_id=0,
+            release=0.0,
+            work=float(dag.work),
+            span=float(dag.span),
+            mode=ParallelismMode.DAG,
+            dag=dag,
+        )
+        trace = Trace(jobs=[spec], m=2, load=0.5, distribution="unit")
+        rt = WsRuntime(
+            trace, 2, ws_scheduler_by_name(name), seed=1,
+            autoscale=lambda rt: None,
+        )
+        rt.push_fault_action(4, {"kind": kind, "proc": 0})
+        rt.push_fault_action(9, {"kind": "recover", "proc": 0})
+        result = rt.run()
+        c = rt.counters
+        drained = kind == "drain"
+        assert result.flow_times[0] == flow
+        assert c.preserved_work == (3.0 if drained else 0.0)
+        assert c.lost_work == (0.0 if drained else 3.0)
+        assert (c.drains, c.crashes) == ((1, 0) if drained else (0, 1))
+        assert (c.parked_steps, c.dead_steps) == ((5, 0) if drained else (0, 5))
 
     @pytest.mark.parametrize("name", SCHEDULERS)
     def test_all_jobs_still_complete_under_crashes(self, name):
