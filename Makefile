@@ -68,13 +68,13 @@ scaling-smoke:
 	$(PYTHON) scripts/scaling_smoke.py
 
 figures:
-	$(PYTHON) -m repro.cli figures
+	PYTHONPATH=src $(PYTHON) -m repro.cli figures
 
 report:
-	$(PYTHON) -m repro.cli report --out report.md
+	PYTHONPATH=src $(PYTHON) -m repro.cli report --out report.md
 
 examples:
-	@for ex in examples/*.py; do echo "== $$ex"; $(PYTHON) $$ex; done
+	@for ex in examples/*.py; do echo "== $$ex"; PYTHONPATH=src $(PYTHON) $$ex; done
 
 clean:
 	rm -rf .pytest_cache .hypothesis .benchmarks results/*.svg report.md

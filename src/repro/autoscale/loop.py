@@ -35,7 +35,7 @@ import math
 from repro.autoscale.controller import AutoscaleController
 from repro.autoscale.guard import AutoscaleConfig
 
-__all__ = ["run_flowsim_elastic", "run_wsim_elastic"]
+__all__ = ["push_capacity_change", "run_flowsim_elastic", "run_wsim_elastic"]
 
 
 def _suffix_work(works: list[float]) -> list[float]:
@@ -44,6 +44,44 @@ def _suffix_work(works: list[float]) -> list[float]:
     for i in range(len(works) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + works[i]
     return suffix
+
+
+def push_capacity_change(
+    stepper, t: float, m_cur: int, target: int, aconfig: AutoscaleConfig
+) -> None:
+    """Move a flowsim engine's capacity from ``m_cur`` to ``target`` at ``t``.
+
+    Pushes point actions on the engine's fault timeline: processors leave
+    from the top (``crash`` on ``target..m_cur-1``) and come back the
+    same way (``recover`` on ``m_cur..target-1``).  With
+    ``aconfig.displace`` a scale-down also displaces the youngest running
+    jobs that no longer fit; they lose their progress and re-enter the
+    queue ``requeue_delay`` later.  Shared by the offline elastic loop
+    and the serving tier, so both turn a controller target into the same
+    timeline.
+    """
+    if target == m_cur:
+        return
+    timeline = stepper.faults
+    if target > m_cur:
+        for p in range(m_cur, target):
+            timeline.push_action(t, {"kind": "recover", "proc": p})
+    else:
+        for p in range(target, m_cur):
+            timeline.push_action(t, {"kind": "crash", "proc": p})
+        if aconfig.displace:
+            n_victims = min(stepper.n_active, m_cur) - target
+            if n_victims > 0:
+                for j in sorted(stepper.active_ids())[-n_victims:]:
+                    timeline.push_action(
+                        t,
+                        {
+                            "kind": "displace",
+                            "job_id": int(j),
+                            "resubmit_after": aconfig.requeue_delay,
+                        },
+                    )
+    stepper.refresh_event_budget()
 
 
 def run_flowsim_elastic(
@@ -77,9 +115,7 @@ def run_flowsim_elastic(
     )
     m_cur = aconfig.initial_m
     controller.bind(0.0, m_cur)
-    for p in range(m_cur, m_max):
-        timeline.push_action(0.0, {"kind": "crash", "proc": p})
-    stepper.refresh_event_budget()
+    push_capacity_change(stepper, 0.0, m_max, m_cur, aconfig)
 
     released_prev = 0.0
     t = 0.0
@@ -108,32 +144,8 @@ def run_flowsim_elastic(
             backlog_work=backlog,
             n_active=stepper.n_active,
         )
-        if target == m_cur:
-            continue
-        if target > m_cur:
-            for p in range(m_cur, target):
-                timeline.push_action(t, {"kind": "recover", "proc": p})
-        else:
-            for p in range(target, m_cur):
-                timeline.push_action(t, {"kind": "crash", "proc": p})
-            if aconfig.displace:
-                # jobs that no longer fit on the shrunk machine are
-                # preempted and requeued; youngest first (deterministic)
-                running = min(stepper.n_active, m_cur)
-                n_victims = max(0, running - target)
-                if n_victims:
-                    victims = sorted(stepper.active_ids())[-n_victims:]
-                    for j in victims:
-                        timeline.push_action(
-                            t,
-                            {
-                                "kind": "displace",
-                                "job_id": int(j),
-                                "resubmit_after": aconfig.requeue_delay,
-                            },
-                        )
+        push_capacity_change(stepper, t, m_cur, target, aconfig)
         m_cur = target
-        stepper.refresh_event_budget()
 
     controller.finalize(stepper.now)
     result = stepper.result()

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from repro.autoscale.controller import AutoscaleController
 from repro.autoscale.guard import AutoscaleConfig
+from repro.autoscale.loop import push_capacity_change
 from repro.core.job import (
     JobSpec,
     ParallelismMode,
@@ -112,9 +113,9 @@ class OnlineScheduler:
         #: the controller's arrived-work ledger, release-ordered
         self._unreleased: list[tuple[float, int, float]] = []
         self._arr_seq = 0
-        for p in range(self._m_cur, self._stepper.m):
-            self._stepper.faults.push_action(0.0, {"kind": "crash", "proc": p})
-        self._stepper.refresh_event_budget()
+        push_capacity_change(
+            self._stepper, 0.0, self._stepper.m, self._m_cur, autoscale
+        )
 
     # -- plumbing shared with snapshot/restore -----------------------------
 
@@ -435,29 +436,8 @@ class OnlineScheduler:
             backlog_work=backlog,
             n_active=st.n_active,
         )
-        if target == self._m_cur:
-            return
-        cfg = self._controller.config
-        if target > self._m_cur:
-            for p in range(self._m_cur, target):
-                st.faults.push_action(t, {"kind": "recover", "proc": p})
-        else:
-            for p in range(target, self._m_cur):
-                st.faults.push_action(t, {"kind": "crash", "proc": p})
-            if cfg.displace:
-                n_victims = max(0, min(st.n_active, self._m_cur) - target)
-                if n_victims:
-                    for j in sorted(st.active_ids())[-n_victims:]:
-                        st.faults.push_action(
-                            t,
-                            {
-                                "kind": "displace",
-                                "job_id": int(j),
-                                "resubmit_after": cfg.requeue_delay,
-                            },
-                        )
+        push_capacity_change(st, t, self._m_cur, target, self._controller.config)
         self._m_cur = target
-        st.refresh_event_budget()
 
     @property
     def m_effective(self) -> int:

@@ -21,6 +21,17 @@ The engine is scheduler-agnostic: all policy decisions are delegated to a
 debug mode): muggable deques are never empty; a node is on exactly one
 deque or one worker; executed units equal total work at the end.
 
+**One job intake.**  Every run pulls its jobs through one cursor that
+stays one job ahead of the clock, whether they come as a materialized
+:class:`~repro.workloads.Trace` or as a lazy stream of DAG-attached
+specs.  Each pull validates the job and grows what depends on the jobs
+seen so far: total work, the stall bound ``max_steps`` and the
+exactness grid below.  The two inputs differ only in where a completion
+lands: a trace's flow times fill a dense per-job array and
+:meth:`WsRuntime.run` returns a :class:`~repro.core.metrics.ScheduleResult`;
+a stream's fold into a :class:`~repro.core.metrics.StreamingMetrics` in
+job-id order and are freed, so memory stays O(active jobs).
+
 **Event-horizon kernel.**  Simulated time is split into *segments* — the
 spans between consecutive external events (job arrivals and fault
 points).  Inside a segment, :meth:`WsRuntime._horizon_jump` classifies
@@ -63,8 +74,12 @@ subtraction of ``k * speed`` bit-for-bit and the ``work_steps``
 accumulation is order-independent; counters and flow times are
 bit-for-bit identical to unit-stepping (``tests/wsim/test_golden.py``
 and the Hypothesis equivalence tests enforce this, heterogeneous speeds
-included).  Off-grid runs fall back to pure per-step execution and
-record it in ``perf.exactness_fallbacks``.
+included).  The grid is checked job by job as the cursor pulls them: a
+run takes bulk jumps until its first off-grid job (or the one that takes
+total work to ``2**31``) is pulled and steps unit by unit from there.
+The jumps made before were exact, so the result is still bit-identical
+to unit stepping; the run records the fallback once in
+``perf.exactness_fallbacks``.
 """
 
 from __future__ import annotations
@@ -136,8 +151,9 @@ class WsConfig:
         large overhead", Sec. I).  Zero by default (the paper's own
         simulation convention); ablation X7 sweeps it.
     max_steps:
-        Hard cap on simulated steps (default: generous bound from total
-        work); exceeding it raises :class:`WsimError`.
+        Hard cap on simulated steps (default: a generous bound from the
+        last release and the total work, grown as jobs are pulled);
+        exceeding it raises :class:`WsimError`.
     debug_invariants:
         Check structural invariants every step (slow; used by tests).
     """
@@ -202,17 +218,15 @@ class WsCounters:
 
 
 class WsRuntime:
-    """One simulation run: a trace, ``m`` workers and a scheduler.
+    """One simulation run: a job source, ``m`` workers and a scheduler.
 
-    ``trace`` is either a materialized :class:`~repro.workloads.Trace`
-    (the classic mode: per-job flow times retained densely) or any
-    iterator/iterable of DAG-attached :class:`~repro.core.JobSpec` in
-    trace order (dense ids, non-decreasing releases) — the *streaming*
-    mode, which pulls arrivals lazily one ahead of the clock and folds
-    completed jobs into ``metrics`` instead of growing per-job arrays,
-    so memory stays O(active jobs).  Streaming requires ``metrics`` (a
-    :class:`~repro.core.metrics.StreamingMetrics`); use
-    :func:`simulate_ws_stream` rather than driving it by hand.
+    ``trace`` is a materialized :class:`~repro.workloads.Trace` or any
+    iterable of DAG-attached :class:`~repro.core.JobSpec` in trace order
+    (dense ids, non-decreasing releases); either is pulled one job ahead
+    of the clock.  A trace's flow times are kept densely and :meth:`run`
+    returns them; any other source is *streamed* into ``metrics`` (a
+    :class:`~repro.core.metrics.StreamingMetrics`, required) in
+    O(active jobs) memory — use :func:`simulate_ws_stream` for that.
     """
 
     def __init__(
@@ -229,21 +243,19 @@ class WsRuntime:
     ) -> None:
         if m < 1:
             raise ValueError("m must be >= 1")
-        self._streaming = not isinstance(trace, Trace)
-        if self._streaming:
-            if metrics is None:
-                raise ValueError(
-                    "streaming runs need a StreamingMetrics accumulator; "
-                    "use simulate_ws_stream()"
-                )
-            self.trace = None
-        else:
+        dense = isinstance(trace, Trace)
+        if dense:
             for spec in trace.jobs:
                 if spec.dag is None:
                     raise ValueError(
                         "wsim needs DAG-attached traces; see workloads.attach_dags"
                     )
-            self.trace = trace
+        elif metrics is None:
+            raise ValueError(
+                "streaming runs need a StreamingMetrics accumulator; "
+                "use simulate_ws_stream()"
+            )
+        self.trace = trace if dense else None
         self._metrics = metrics
         self.m = m
         self.scheduler = scheduler
@@ -283,39 +295,27 @@ class WsRuntime:
         self.counters = WsCounters()
         self.step = 0
         self._completed = 0
-        # speed aggregates (streaming completion folds need them per job;
-        # the dense result build reuses them)
+        # speed aggregates (the per-job min-flow bounds need them)
         self._total_speed = float(m if speeds is None else speeds.sum())
         self._max_speed = float(1.0 if speeds is None else speeds.max())
-        if self._streaming:
-            self._arrivals = []
-            self._next_arrival = 0
-            self._flow_steps = None
-            self._job_iter = iter(trace)
-            #: specs of admitted, unfinished jobs (fault resume needs them)
-            self._specs_by_id: dict[int, "JobSpec"] = {}
-            #: completions folded into metrics strictly in job-id order —
-            #: jobs finish out of order, so late ids park on a heap until
-            #: the gap closes; O(active) entries
-            self._done_heap: list[tuple[int, float, float]] = []
-            self._emit_next = 0
-            self._n_seen = 0
-            self._horizon_seen = 0
-            total_work = 0
-        else:
-            self._arrivals = [
-                (int(math.ceil(spec.release)), spec) for spec in trace.jobs
-            ]
-            self._next_arrival = 0
-            self._flow_steps = np.full(len(trace), np.nan)
-            total_work = sum(int(spec.dag.work) for spec in trace.jobs)
-        self.total_work_units = total_work
-        #: release step of the next not-yet-admitted arrival (inf = none):
-        #: the single cursor both modes drive the run loop with
-        self._peek_step: float = (
-            self._arrivals[0][0] if self._arrivals else math.inf
-        )
+        # -- job intake: one cursor, one job ahead of the clock ------------
+        self._job_iter = iter(trace)
+        #: release step and spec of the next not-yet-admitted job
+        #: (inf / None once the source is exhausted)
+        self._peek_step: float = math.inf
         self._peek_spec = None
+        self._horizon_seen = 0
+        self.total_work_units = 0
+        #: specs of admitted, unfinished jobs: fault resumes rebuild jobs
+        #: from them, and one left at the end is an unfinished job
+        self._specs_by_id: dict[int, "JobSpec"] = {}
+        #: where completions land: dense per-job flow times for a trace
+        #: (``wsim.probes`` reads them); for a stream, a fold into
+        #: ``metrics`` strictly in job-id order — jobs finish out of
+        #: order, so late ids park on a heap until the gap closes
+        self._flow_steps = np.full(len(trace), np.nan) if dense else None
+        self._done_heap: list[tuple[int, float, float]] = []
+        self._emit_next = 0
         # -- event-horizon kernel state ------------------------------------
         #: DREP flags currently armed (maintained by :meth:`arm_flag`); a
         #: fast veto for bulk jumps in "step" mode.  Only a hint — the
@@ -343,27 +343,13 @@ class WsRuntime:
         # exactness contract (module docstring): bulk jumps need every
         # node weight — and speed, if heterogeneous — on the dyadic grid,
         # plus bounded total work so work_steps partial sums stay exact.
-        # Streaming runs start vacuously on-grid and re-verify every job
-        # as it is pulled; a violation only disables *future* jumps, which
-        # is sound — and still bit-identical to the materialized run —
-        # because all bulk math performed while the contract held was
-        # exact, hence order-independent.
-        grid = total_work < 2**31
-        if grid and speeds is not None:
-            grid = _on_grid(speeds)
-        if grid and not self._streaming:
-            for spec in trace.jobs:
-                if not _on_grid(spec.dag.weights):
-                    grid = False
-                    break
-        self._grid_exact = grid
-        horizon = self._arrivals[-1][0] if self._arrivals else 0
-        self.max_steps = config.max_steps or (
-            horizon + 50 * total_work + 10_000
-        )
-        # streaming max_steps accounting: the stall bound is recomputed on
-        # every pull as horizon_seen + factor * work_seen + const, chosen
-        # to dominate the materialized formula for any prefix
+        # Speeds are checked here, each job's weights as it is pulled; a
+        # violation only disables *future* jumps, which is sound because
+        # all bulk math performed while the contract held was exact,
+        # hence order-independent.
+        self._grid_exact = speeds is None or _on_grid(speeds)
+        # stall bound: recomputed on every pull as the last release step
+        # plus factor * work seen plus const
         self._ms_factor = 50
         self._ms_const = 10_000
         # -- fault injection (repro.faults): crash/abort plans only -------
@@ -394,35 +380,28 @@ class WsRuntime:
                 self._fault_next = self._fault_heap[0][0]
             # distinct list: crash/recover rebuilds must not touch .workers
             self._live_workers = list(self.workers)
-            if config.max_steps is None:
-                # downtime and re-executed work stretch the schedule
-                self.max_steps += (
-                    int(math.ceil(faults.horizon)) + 50 * total_work + 10_000
-                )
-                self._ms_factor = 100
-                self._ms_const = 20_000 + int(math.ceil(faults.horizon))
+            # downtime and re-executed work stretch the schedule
+            self._ms_factor = 100
+            self._ms_const = 20_000 + int(math.ceil(faults.horizon))
         elif autoscale is not None:
             self._live_workers = list(self.workers)
-            if config.max_steps is None:
-                # parked capacity stretches the schedule like downtime does
-                self.max_steps += 50 * total_work + 10_000
-                self._ms_factor = 100
-                self._ms_const = 20_000
+            # parked capacity stretches the schedule like downtime does
+            self._ms_factor = 100
+            self._ms_const = 20_000
+        self.max_steps = config.max_steps or self._ms_const
         self.perf = PerfCounters()
-        if self._streaming:
-            self._pull_next()  # prime the one-job lookahead
+        self._pull_next()  # prime the one-job lookahead
 
     # ------------------------------------------------------------------
-    # lazy ingestion (streaming mode)
+    # job intake
     # ------------------------------------------------------------------
 
     def _pull_next(self) -> None:
-        """Advance the one-job lookahead cursor from the job stream.
+        """Advance the one-job lookahead cursor from the job source.
 
         Validates the pulled spec (DAG attached, non-decreasing release)
-        and folds it into the incremental accounting the materialized
-        constructor does upfront: total work, the grid-exactness
-        contract, and the ``max_steps`` stall bound.
+        and folds it into what grows with the jobs seen: total work, the
+        grid-exactness contract, and the ``max_steps`` stall bound.
         """
         try:
             spec = next(self._job_iter)
@@ -443,13 +422,12 @@ class WsRuntime:
                 "(streams must be sorted by release)"
             )
         self._horizon_seen = release_step
-        self._n_seen += 1
         self.total_work_units += int(spec.dag.work)
         if self._grid_exact and (
             self.total_work_units >= 2**31 or not _on_grid(spec.dag.weights)
         ):
             self._grid_exact = False  # run loop books the fallback
-        if self.config.max_steps is None:
+        if not self.config.max_steps:
             self.max_steps = (
                 self._horizon_seen
                 + self._ms_factor * self.total_work_units
@@ -470,11 +448,11 @@ class WsRuntime:
         act — the instant the potential-function analysis reasons about.
         Used by :mod:`repro.analysis.timeline` and the theory tests.
 
-        Returns the dense :class:`ScheduleResult` in materialized mode;
-        ``None`` in streaming mode, where everything already lives in the
-        metrics accumulator (the :func:`simulate_ws_stream` wrapper
-        assembles the :class:`~repro.core.metrics.StreamResult` from it
-        and ``self._run_extra``).
+        Returns the dense :class:`ScheduleResult` for a trace; ``None``
+        for a stream, where everything already lives in the metrics
+        accumulator (the :func:`simulate_ws_stream` wrapper assembles the
+        :class:`~repro.core.metrics.StreamResult` from it and
+        ``self._run_extra``).
 
         However the run ends, :attr:`rng` is synced on the way out, so
         its bit generator holds the state per-call draws would leave.
@@ -486,13 +464,12 @@ class WsRuntime:
 
     def _run(self, observer) -> "ScheduleResult | None":
         self.scheduler.reset(self)
-        n = math.inf if self._streaming else len(self.trace)
         # bulk jumps are only sound when the per-step machinery is pure
         # node execution — no observer watching intermediate states, a
         # default (no-op) on_step hook, no per-step invariant sweep — and
-        # when every weight and speed sits on the dyadic exactness grid
-        # (module docstring) so bulk float math reproduces per-step math
-        # bit for bit
+        # while every weight and speed pulled so far sits on the dyadic
+        # exactness grid (module docstring) so bulk float math reproduces
+        # per-step math bit for bit
         default_on_step = (
             type(self.scheduler).on_step is WsScheduler.on_step
         )
@@ -500,10 +477,8 @@ class WsRuntime:
             observer is None
             and default_on_step
             and not self.config.debug_invariants
-            and self._grid_exact
         )
-        if not self._grid_exact:
-            self.perf.exactness_fallbacks += 1
+        grid_ok = True
         steal_target = type(self.scheduler).steal_target
         steal_hook = self._steal_target = (
             self.scheduler.steal_target
@@ -522,32 +497,22 @@ class WsRuntime:
         flags_immediate = self._flags_immediate
         have_faults = self.faults is not None or self._tick_hook is not None
         speeds = self._speed_list
-        streaming = self._streaming
         max_steps = self.max_steps
-        while self._completed < n:
+        while True:
             step = self.step
-            if streaming:
-                if (
-                    not self.active
-                    and self._peek_spec is None
-                    and not self._specs_by_id
-                ):
-                    # every job pulled has completed (and none awaits a
-                    # fault resume): stop here, exactly where the dense
-                    # loop's ``completed == n`` exit lands — leftover
-                    # fault-heap events (recovers past the last
-                    # completion) are dropped unapplied, as there
-                    break
-                # the stall bound and the exactness contract both grow
-                # with the stream; re-read them once per segment
-                max_steps = self.max_steps
-                if horizon_ok and not self._grid_exact:
-                    horizon_ok = False
-                    self.perf.exactness_fallbacks += 1
+            if (
+                not self.active
+                and self._peek_spec is None
+                and not self._specs_by_id
+            ):
+                # every job pulled has completed (and none awaits a fault
+                # resume): leftover fault-heap events (recovers past the
+                # last completion) are dropped unapplied
+                break
             if step > max_steps:
                 raise WsimError(
                     f"{self.scheduler.name}: exceeded {max_steps} steps "
-                    f"with {self._completed}/{n} jobs done"
+                    f"with {self._completed} jobs done"
                 )
             if have_faults and self._fault_next <= step:
                 # before arrivals: a worker crashing at t is already gone
@@ -555,12 +520,13 @@ class WsRuntime:
                 self._apply_due_faults()
                 workers = self._live_workers
             if self._peek_step <= step:
+                # the stall bound and the exactness contract both grow
+                # with the jobs pulled
                 self._admit_arrivals()
-                if streaming:
-                    max_steps = self.max_steps
-                    if horizon_ok and not self._grid_exact:
-                        horizon_ok = False
-                        self.perf.exactness_fallbacks += 1
+                max_steps = self.max_steps
+            if grid_ok and not self._grid_exact:
+                grid_ok = horizon_ok = False
+                self.perf.exactness_fallbacks += 1
             if not self.active:
                 # machine idle: jump to the next arrival or fault point
                 # (a pending recover/resume can be the only future event)
@@ -683,14 +649,11 @@ class WsRuntime:
                     self._check_invariants()
                 step = nstep
                 self.step = nstep
-                if self._completed >= n or not self.active:
+                if not self.active:
                     break
-        if streaming:
-            if self.active or self._peek_spec is not None or self._done_heap:
-                raise WsimError(
-                    f"{self.scheduler.name}: unfinished jobs at end"
-                )
-        elif np.isnan(self._flow_steps).any():
+        if self._specs_by_id or self._done_heap:
+            # an admitted job never completed (a scheduler that drops it
+            # from ``active`` idles the machine out of the loop)
             raise WsimError(f"{self.scheduler.name}: unfinished jobs at end")
         fault_extra = {}
         if self.faults is not None or self._tick_hook is not None:
@@ -735,7 +698,7 @@ class WsRuntime:
             "perf": self._perf_snapshot(),
             **fault_extra,
         }
-        if streaming:
+        if self._flow_steps is None:
             return None
         return ScheduleResult(
             scheduler=self.scheduler.name,
@@ -801,14 +764,17 @@ class WsRuntime:
             _, _, action = heapq.heappop(heap)
             kind = action["kind"]
             entry = {"kind": kind, "step": step, "applied": True}
-            if kind == "crash":
+            if kind == "crash" or kind == "drain":
+                # a drain is the scale-down: like a crash, but the partial
+                # node keeps its progress — capacity leaves, work does
+                # not re-execute
                 proc = int(action["proc"])
                 entry["proc"] = proc
                 worker = self.workers[proc]
                 depth = worker.scratch.get("crash_depth", 0)
                 worker.scratch["crash_depth"] = depth + 1
                 if depth == 0:
-                    self._kill_worker(worker)
+                    self._take_down(worker, drained=kind == "drain")
                 else:
                     entry["applied"] = False  # already down (nested window)
             elif kind == "recover":
@@ -821,18 +787,6 @@ class WsRuntime:
                     self._revive_worker(worker)
                 else:
                     entry["applied"] = False
-            elif kind == "drain":
-                # scale-down: like a crash, but the partial node keeps its
-                # progress — capacity leaves, work does not re-execute
-                proc = int(action["proc"])
-                entry["proc"] = proc
-                worker = self.workers[proc]
-                depth = worker.scratch.get("crash_depth", 0)
-                worker.scratch["crash_depth"] = depth + 1
-                if depth == 0:
-                    self._drain_worker(worker)
-                else:
-                    entry["applied"] = False  # already down
             elif kind == "autoscale":
                 # controller tick: the hook observes the runtime and may
                 # push drain/recover actions at this very step (the while
@@ -849,11 +803,7 @@ class WsRuntime:
             elif kind == "resume":
                 job_id = int(action["job_id"])
                 entry["job_id"] = job_id
-                spec = (
-                    self._specs_by_id[job_id]
-                    if self._streaming
-                    else self.trace.jobs[job_id]
-                )
+                spec = self._specs_by_id[job_id]
                 # fresh JobRun with the *original* release step: all work
                 # re-executes, but flow time still counts from first release
                 job = JobRun(spec, int(math.ceil(spec.release)))
@@ -862,19 +812,25 @@ class WsRuntime:
         self._fault_next = heap[0][0] if heap else math.inf
         self._live_workers = [w for w in self.workers if not w.down]
 
-    def _kill_worker(self, worker: Worker) -> None:
-        """Crash ``worker``: its partial node re-executes, its deque moves on.
+    def _take_down(self, worker: Worker, drained: bool) -> None:
+        """Take ``worker`` down: a crash, or a graceful park if ``drained``.
 
-        The in-progress node loses its partial execution (counted in
-        ``lost_work``) and goes back to full weight.  In affinity mode the
-        worker's non-empty deque is orphaned *muggable* — the job's other
-        workers adopt it through normal stealing, the Sec. IV-A handover.
-        In global-pool mode the deque's nodes move to the first live
-        worker (or a runtime orphan list when none exists, drained on the
-        next revival).
+        Its in-progress node goes back on its deque, and the deque moves
+        on: in affinity mode a non-empty deque is orphaned *muggable* —
+        the job's other workers adopt it through normal stealing, the
+        Sec. IV-A handover; in global-pool mode its nodes move to the
+        first live worker (or a runtime orphan list when none exists,
+        drained on the next revival).  A crash resets the node to full
+        weight, so its partial execution re-executes (``lost_work``); a
+        drain keeps that progress for whichever worker picks the node up
+        (``preserved_work``: exactly what a crash would have destroyed).
         """
         counters = self.counters
-        counters.crashes += 1
+        if drained:
+            counters.drains += 1
+            worker.scratch["drained"] = True
+        else:
+            counters.crashes += 1
         worker.down = True
         worker.scratch["down_since"] = self.step
         self._live_workers = [w for w in self.workers if not w.down]
@@ -884,54 +840,11 @@ class WsRuntime:
             weight = float(job.dag.weights[node])
             executed = weight - job.node_remaining[node]
             if executed > 0:
-                counters.lost_work += executed
-                job.node_remaining[node] = weight
-            self._deque_for(worker, job).push_bottom(cur)
-            worker.current = None
-        dq = worker.dq
-        if dq is not None:
-            if dq.nodes:
-                if self.scheduler.affinity:
-                    dq.owner = None  # muggable: stays with the job
+                if drained:
+                    counters.preserved_work += executed
                 else:
-                    target = self._live_workers[0] if self._live_workers else None
-                    if target is not None:
-                        if target.dq is None:
-                            target.dq = WsDeque(job=None, owner=target.wid)
-                        target.dq.nodes.extend(dq.nodes)
-                    else:
-                        self._orphans.extend(dq.nodes)
-                    dq.nodes.clear()
-            if not dq.nodes and dq.job is not None:
-                dq.job.drop_deque(dq)
-            worker.dq = None
-        if worker.job is not None:
-            worker.job.workers -= 1
-            worker.job = None
-        self.arm_flag(worker, None)
-        worker.blocked_until = 0
-
-    def _drain_worker(self, worker: Worker) -> None:
-        """Park ``worker`` gracefully: hand its work over, keep the progress.
-
-        The scale-down analogue of :meth:`_kill_worker`: the worker goes
-        down and its deque moves on identically, but the in-progress node
-        keeps its partial execution — whichever worker picks it up resumes
-        where this one stopped.  The preserved partial work is counted in
-        ``preserved_work`` (exactly what a crash would have destroyed).
-        """
-        counters = self.counters
-        counters.drains += 1
-        worker.down = True
-        worker.scratch["down_since"] = self.step
-        worker.scratch["drained"] = True
-        self._live_workers = [w for w in self.workers if not w.down]
-        cur = worker.current
-        if cur is not None:
-            job, node = cur
-            executed = float(job.dag.weights[node]) - job.node_remaining[node]
-            if executed > 0:
-                counters.preserved_work += executed
+                    counters.lost_work += executed
+                    job.node_remaining[node] = weight
             self._deque_for(worker, job).push_bottom(cur)
             worker.current = None
         dq = worker.dq
@@ -1029,30 +942,12 @@ class WsRuntime:
     # ------------------------------------------------------------------
 
     def _admit_arrivals(self) -> None:
-        if self._streaming:
-            while self._peek_step <= self.step:
-                spec = self._peek_spec
-                release_step = int(self._peek_step)
-                self._pull_next()
-                self._specs_by_id[spec.job_id] = spec
-                job = JobRun(spec, release_step)
-                self.scheduler.on_arrival(job)
-            return
-        arrivals = self._arrivals
-        n_arrivals = len(arrivals)
-        while (
-            self._next_arrival < n_arrivals
-            and arrivals[self._next_arrival][0] <= self.step
-        ):
-            release_step, spec = arrivals[self._next_arrival]
-            self._next_arrival += 1
-            job = JobRun(spec, release_step)
-            self.scheduler.on_arrival(job)
-        self._peek_step = (
-            arrivals[self._next_arrival][0]
-            if self._next_arrival < n_arrivals
-            else math.inf
-        )
+        while self._peek_step <= self.step:
+            spec = self._peek_spec
+            release_step = self._peek_step
+            self._pull_next()
+            self._specs_by_id[spec.job_id] = spec
+            self.scheduler.on_arrival(JobRun(spec, release_step))
 
     def complete_job(self, job: JobRun) -> None:
         """Called by :meth:`_finish_node` when a job's last node finishes."""
@@ -1060,29 +955,27 @@ class WsRuntime:
         # completion at the end of this step; arrival at the start of its
         # release step, so flow >= 1 for any job with work
         flow = self.step + 1 - job.release_step
-        if self._streaming:
-            # fold-and-forget, strictly in job-id order: jobs finish out
-            # of order, so park late ids on a small heap until the id gap
-            # closes — keeps the metrics stream (and the keep_flow_times
-            # reconstruction) aligned with the dense, id-indexed arrays
+        self._specs_by_id.pop(job.job_id, None)
+        if self._flow_steps is not None:
+            self._flow_steps[job.job_id] = flow
+        else:
+            # fold-and-forget, strictly in job-id order: park late ids on
+            # a small heap until the id gap closes — keeps the metrics
+            # stream (and the keep_flow_times reconstruction) aligned
+            # with the dense, id-indexed arrays
             dag = job.dag
             min_flow = max(
                 dag.work / self._total_speed,
                 float(dag.span) / self._max_speed,
                 1.0,
             )
-            heapq.heappush(
-                self._done_heap, (job.job_id, float(flow), min_flow)
-            )
-            self._specs_by_id.pop(job.job_id, None)
             heap = self._done_heap
+            heapq.heappush(heap, (job.job_id, float(flow), min_flow))
             metrics = self._metrics
             while heap and heap[0][0] == self._emit_next:
                 _, f, mf = heapq.heappop(heap)
                 metrics.add(f, min_flow=mf)
                 self._emit_next += 1
-        else:
-            self._flow_steps[job.job_id] = flow
         self._completed += 1
         # ``active`` order is semantic: schedulers draw uniformly from it
         # by position, so an O(1) swap-pop would permute later RNG picks

@@ -20,90 +20,30 @@ from __future__ import annotations
 
 import math
 
-from repro.wsim.schedulers.base import WsScheduler
-from repro.wsim.structures import JobRun, Worker
+from repro.wsim.schedulers.rr_quantum import RrQuantumWS
+from repro.wsim.structures import JobRun
 
 __all__ = ["LapsQuantumWS"]
 
 
-class LapsQuantumWS(WsScheduler):
-    """Serve the latest-arriving beta fraction, re-partitioned per quantum."""
+class LapsQuantumWS(RrQuantumWS):
+    """Serve the latest-arriving beta fraction, re-partitioned per quantum.
 
-    affinity = True
-    clairvoyant = False
+    Quantum RR over another served set: the latest
+    ``ceil(beta * |A(t)|)`` jobs, which workers are spread over every
+    quantum and redraw from when their job finishes.
+    """
 
     def __init__(self, beta: float = 0.5, quantum: int = 50) -> None:
         if not 0 < beta <= 1:
             raise ValueError("beta must be in (0, 1]")
-        if quantum < 1:
-            raise ValueError("quantum must be >= 1")
+        super().__init__(quantum)
         self.beta = beta
-        self.quantum = quantum
         self.name = f"LAPS(b={beta:g},q={quantum})"
-        self._rotation = 0
 
-    def reset(self, rt) -> None:
-        super().reset(rt)
-        self._rotation = 0
-
-    def _served_set(self) -> list[JobRun]:
+    def _served(self) -> list[JobRun]:
         jobs = self.rt.active
         if not jobs:
             return []
         k = max(1, math.ceil(self.beta * len(jobs)))
-        latest = sorted(jobs, key=lambda j: (j.release_step, j.job_id))[-k:]
-        return latest
-
-    def _repartition(self) -> None:
-        rt = self.rt
-        served = self._served_set()
-        if not served:
-            return
-        n = len(served)
-        for worker in rt.up_workers():
-            if worker.blocked_until > rt.step:
-                continue
-            target = served[(worker.wid + self._rotation) % n]
-            if worker.job is not target:
-                rt.switch_worker(worker, target, preempt=True)
-        self._rotation += 1
-
-    def on_step(self) -> None:
-        if self.rt.step % self.quantum == 0:
-            self._repartition()
-
-    def on_arrival(self, job: JobRun) -> None:
-        rt = self.rt
-        rt.active.append(job)
-        self.make_arrival_deque(job)
-        for worker in rt.up_workers():
-            if worker.job is None or worker.job.done:
-                rt.switch_worker(worker, job, preempt=False)
-
-    def on_completion(self, job: JobRun) -> None:
-        rt = self.rt
-        served = self._served_set()
-        for worker in rt.up_workers():
-            if worker.job is job:
-                if served:
-                    pick = served[self.rng.index(len(served))]
-                    rt.switch_worker(worker, pick, preempt=False)
-                else:
-                    rt.switch_worker(worker, None, preempt=False)
-
-    def out_of_work(self, worker: Worker) -> None:
-        rt = self.rt
-        job = worker.job
-        if job is None or job.done:
-            served = self._served_set()
-            if served:
-                pick = served[self.rng.index(len(served))]
-                rt.switch_worker(worker, pick, preempt=False)
-            else:
-                self.idle(worker)
-            return
-        if not rt.steal_within(worker, job):
-            # a served job may have no stealable nodes left for this
-            # worker; spinning is LAPS-faithful (it must not help old
-            # jobs), so the failed attempt simply costs the step
-            pass
+        return sorted(jobs, key=lambda j: (j.release_step, j.job_id))[-k:]

@@ -41,10 +41,14 @@ class RrQuantumWS(WsScheduler):
         super().reset(rt)
         self._rotation = 0
 
+    def _served(self) -> list[JobRun]:
+        """The jobs workers are spread over and redrawn from: all of A(t)."""
+        return self.rt.active
+
     def _repartition(self) -> None:
-        """Assign worker i to active job (i + rotation) mod |A|."""
+        """Assign worker i to served job (i + rotation) mod |served|."""
         rt = self.rt
-        jobs = rt.active
+        jobs = self._served()
         if not jobs:
             return
         n = len(jobs)
@@ -71,20 +75,19 @@ class RrQuantumWS(WsScheduler):
 
     def on_completion(self, job: JobRun) -> None:
         rt = self.rt
+        served = self._served()
         for worker in rt.up_workers():
             if worker.job is job:
-                if rt.active:
-                    pick = rt.active[self.rng.index(len(rt.active))]
-                    rt.switch_worker(worker, pick, preempt=False)
-                else:
-                    rt.switch_worker(worker, None, preempt=False)
+                pick = served[self.rng.index(len(served))] if served else None
+                rt.switch_worker(worker, pick, preempt=False)
 
     def out_of_work(self, worker: Worker) -> None:
         rt = self.rt
         job = worker.job
         if job is None or job.done:
-            if rt.active:
-                pick = rt.active[self.rng.index(len(rt.active))]
+            served = self._served()
+            if served:
+                pick = served[self.rng.index(len(served))]
                 rt.switch_worker(worker, pick, preempt=False)
             else:
                 self.idle(worker)

@@ -11,7 +11,7 @@ import pytest
 
 from repro.flowsim.engine import FlowSimError, simulate
 from repro.flowsim.policies.base import ActiveView, Policy
-from repro.wsim.runtime import WsimError, simulate_ws
+from repro.wsim.runtime import WsimError, simulate_ws, simulate_ws_stream
 from repro.wsim.schedulers.base import WsScheduler
 from tests.conftest import make_trace
 
@@ -90,7 +90,8 @@ class TestWsimPluginErrors:
         with pytest.raises(WsimError, match="exceeded"):
             simulate_ws(self._trace(), 2, DoNothing())
 
-    def test_scheduler_forgetting_active_breaks_completion(self):
+    @pytest.mark.parametrize("streamed", [False, True])
+    def test_scheduler_forgetting_active_breaks_completion(self, streamed):
         class ForgetsActive(WsScheduler):
             name = "forgets"
             affinity = False
@@ -102,9 +103,15 @@ class TestWsimPluginErrors:
                 self.idle(worker)
 
         # the runtime treats no-active as idle and jumps; with no future
-        # arrivals it exits the loop and detects unfinished jobs
-        with pytest.raises(WsimError, match="unfinished|exceeded"):
-            simulate_ws(self._trace(), 2, ForgetsActive())
+        # arrivals it exits the loop and detects the admitted job that
+        # never finished — the same whether the jobs come as a trace or
+        # as a stream
+        trace = self._trace()
+        with pytest.raises(WsimError, match="unfinished jobs at end"):
+            if streamed:
+                simulate_ws_stream(trace.jobs, 2, ForgetsActive())
+            else:
+                simulate_ws(trace, 2, ForgetsActive())
 
     def test_scheduler_exception_propagates(self):
         class Exploding(WsScheduler):

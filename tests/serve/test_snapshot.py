@@ -8,6 +8,7 @@ uninterrupted run exactly, RNG draws included.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -85,11 +86,19 @@ class TestRoundTrip:
             "result = sched.drain()\n"
             "print(json.dumps([float(f) for f in result.flow_times]))\n"
         )
+        # the fresh process imports the package from this checkout's
+        # src/, installed or not
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
         proc = subprocess.run(
             [sys.executable, "-c", script, str(snap), str(trace_file)],
             capture_output=True,
             text=True,
             check=True,
+            env=env,
         )
         flows = np.array(json.loads(proc.stdout), dtype=float)
         np.testing.assert_array_equal(flows, uninterrupted.flow_times)

@@ -203,3 +203,36 @@ def test_off_grid_speeds_fall_back_and_record_it():
     _assert_all_identical(
         [r_macro, _run(trace, 2, "drep", 3, speeds, unit_stepped=True)]
     )
+
+
+def test_off_grid_last_job_jumps_until_it_is_pulled():
+    """A trace whose last job is off the grid: bulk jumps, then unit steps.
+
+    Node weights are integers, so a job leaves the grid by magnitude: the
+    last job's single node of ``2**31`` units (2048 steps at speed
+    ``2**20``).  The intake pulls it when job 1 arrives, so the kernel
+    jumps through job 0 and steps unit by unit from job 1 on; the run
+    still equals the unit-stepped one and books one fallback.
+    """
+    unit = 2**20
+    dags = [chain(600 * unit, 200 * unit)] * 2 + [chain(2**31, 2**31)]
+    jobs = [
+        JobSpec(
+            job_id=i,
+            release=float(1000 * i),
+            work=float(dag.work),
+            span=float(dag.span),
+            mode=ParallelismMode.DAG,
+            dag=dag,
+        )
+        for i, dag in enumerate(dags)
+    ]
+    trace = Trace(jobs=jobs, m=2)
+    speeds = np.array([float(unit), float(unit)])
+    r_macro = _run(trace, 2, "drep", 3, speeds)
+    r_unit = _run(trace, 2, "drep", 3, speeds, unit_stepped=True)
+    assert r_macro[3].horizon_jumps > 0
+    assert r_macro[3].exactness_fallbacks == 1
+    assert r_unit[3].horizon_jumps == 0
+    assert r_unit[3].exactness_fallbacks == 1
+    _assert_all_identical([r_macro, r_unit])

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.job import JobSpec, ParallelismMode
 from repro.dag.generators import chain, spawn_tree, wide
 from repro.workloads.traces import Trace
-from repro.wsim.runtime import WsConfig, WsimError, simulate_ws
+from repro.wsim.runtime import WsConfig, WsimError, WsRuntime, simulate_ws
 from repro.wsim.schedulers import AdmitFirstWS, DrepWS, StealFirstWS, SwfApproxWS
 
 
@@ -103,6 +105,14 @@ class TestConfig:
     def test_requires_dags(self, small_random_trace):
         with pytest.raises(ValueError, match="DAG"):
             simulate_ws(small_random_trace, 2, DrepWS())
+
+    def test_trace_with_a_later_dagless_job_refused_at_construction(self):
+        # jobs are pulled one ahead of the clock, but a trace is checked
+        # whole when the runtime is built, not when job 1 is reached
+        trace = dag_trace([chain(5, 1), chain(5, 1)], releases=[0.0, 50.0])
+        trace.jobs[1] = dataclasses.replace(trace.jobs[1], dag=None)
+        with pytest.raises(ValueError, match="DAG"):
+            WsRuntime(trace, 2, DrepWS())
 
     def test_invalid_m(self, small_dag_trace):
         with pytest.raises(ValueError):
