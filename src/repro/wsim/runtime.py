@@ -681,8 +681,6 @@ class WsRuntime:
                 "parked_steps": counters.parked_steps,
                 "log": [dict(e) for e in self._fault_log],
             }
-        total_speed = self._total_speed
-        max_speed = self._max_speed
         self._run_extra = {
             "switches": self.counters.switches,
             "work_steps": self.counters.work_steps,
@@ -691,7 +689,7 @@ class WsRuntime:
             "overhead_steps": self.counters.overhead_steps,
             "admissions": self.counters.admissions,
             "utilization": (
-                self.counters.work_steps / (self.step * total_speed)
+                self.counters.work_steps / (self.step * self._total_speed)
                 if self.step
                 else 0.0
             ),
@@ -710,16 +708,18 @@ class WsRuntime:
             muggings=self.counters.muggings,
             makespan=float(self.step),
             min_flows=np.array(
-                [
-                    max(
-                        spec.dag.work / total_speed,
-                        float(spec.dag.span) / max_speed,
-                        1.0,
-                    )
-                    for spec in self.trace.jobs
-                ]
+                [self._min_flow(spec.dag) for spec in self.trace.jobs]
             ),
             extra=self._run_extra,
+        )
+
+    def _min_flow(self, dag) -> float:
+        """A job's flow-time lower bound, in steps: its work on all
+        workers, its span on the fastest one, and at least one step."""
+        return max(
+            dag.work / self._total_speed,
+            float(dag.span) / self._max_speed,
+            1.0,
         )
 
     def _perf_snapshot(self) -> dict:
@@ -963,14 +963,10 @@ class WsRuntime:
             # a small heap until the id gap closes — keeps the metrics
             # stream (and the keep_flow_times reconstruction) aligned
             # with the dense, id-indexed arrays
-            dag = job.dag
-            min_flow = max(
-                dag.work / self._total_speed,
-                float(dag.span) / self._max_speed,
-                1.0,
-            )
             heap = self._done_heap
-            heapq.heappush(heap, (job.job_id, float(flow), min_flow))
+            heapq.heappush(
+                heap, (job.job_id, float(flow), self._min_flow(job.dag))
+            )
             metrics = self._metrics
             while heap and heap[0][0] == self._emit_next:
                 _, f, mf = heapq.heappop(heap)
