@@ -38,14 +38,18 @@ fed the buffers directly, :meth:`~repro.flowsim.policies.base.Policy.rates`
 on a materialized :class:`~repro.flowsim.policies.base.ActiveView` for
 policies without it, or the incremental order structures of
 :mod:`repro.flowsim.order`), how the next completion is found (a scan or a
-calendar), and whether one call folds a whole run of events or handles
-one.  Plain runs with a small active set run the same iterations on
-Python lists instead (:meth:`FlowStepper._run_scalar`, fed by
+calendar), and whether a pass folds its events — reuses their rates,
+patching them sparsely — or recomputes the rates at each.  Every
+:meth:`FlowStepper.advance_to` or :meth:`FlowStepper.drain` of a run
+without a fault plan is one pass, whether or not it folds;
+:meth:`FlowStepper.step` is one event.  Plain runs with a small active
+set run the same iterations on Python lists instead
+(:meth:`FlowStepper._run_scalar`, fed by
 :meth:`~repro.flowsim.policies.base.Policy.rates_scalar`), where numpy's
 per-call overhead would dominate arrays of a few elements; the lists
-then own the active set across calls, and the buffers catch up only
-when something outside that loop reads them.  A pass switches between
-the two representations as the set grows and shrinks past
+then own the active set across calls, and the buffers catch up only when
+something outside that loop reads them.  A pass switches between the two
+representations as the set grows and shrinks past
 :data:`SCALAR_MAX_ACTIVE`.  Policies declaring
 :attr:`~repro.flowsim.policies.base.Policy.rates_stable` have their rate
 vector reused until the composition of the active set changes.
@@ -250,6 +254,8 @@ class FlowSimConfig:
     def __post_init__(self) -> None:
         if not self.speed > 0:
             raise ValueError("speed must be > 0")
+        if self.max_events is not None and self.max_events < 1:
+            raise ValueError("max_events must be >= 1 (None: the default)")
         if self.check_every_k < 1:
             raise ValueError("check_every_k must be >= 1")
         if self.incremental_min_active < 0:
@@ -487,7 +493,7 @@ class FlowStepper:
             else None
         )
         # sparse complement of the vectorized hook, used inside folded
-        # passes only (one-event calls always rebuild)
+        # passes only (every other pass rebuilds at each event)
         self._rates_patch_fn = (
             self.policy.rates_array_patch
             if self._rates_array_fn is not None
@@ -499,10 +505,10 @@ class FlowStepper:
         self._rates_stable = (
             bool(self.policy.rates_stable) and not self.config.use_profiles
         )
-        # a dense run folds many events into one _run call when nothing
-        # but arrivals and completions can happen: timers interleave
-        # events of their own and segment recording observes every
-        # segment.  The folded pass's sparse updates rest on the
+        # a dense run folds — reuses its rates across a pass's events —
+        # when nothing but arrivals and completions can happen: timers
+        # interleave events of their own and segment recording observes
+        # every segment.  The folded pass's sparse updates rest on the
         # rates_stable contract (see Policy.rates_stable); fault plans
         # rule folding out for every run (see _run).
         self._fold_dense = (
@@ -1096,13 +1102,17 @@ class FlowStepper:
         Returns ``True`` if the step made (or can still make) progress,
         ``False`` when nothing can happen before ``horizon`` — the machine
         is idle with no arrival due (the clock is parked at the horizon
-        when one is given).  Raises :class:`FlowSimError` on policy
-        invariant violations, a stall, or an exhausted event budget, and
-        ``ValueError`` on a non-finite horizon.
+        when one is given), or ``horizon`` is not ahead of the clock (a
+        no-op, as in :meth:`advance_to`).  Raises :class:`FlowSimError` on
+        policy invariant violations, a stall, or an exhausted event
+        budget, and ``ValueError`` on a non-finite horizon.
         """
-        if horizon is not None and not math.isfinite(horizon):
-            raise ValueError(f"step horizon must be finite, got {horizon}")
-        return self._run(horizon, fold=False)
+        if horizon is not None:
+            if not math.isfinite(horizon):
+                raise ValueError(f"step horizon must be finite, got {horizon}")
+            if not self._t * (1 + _ADMIT_TOL) < horizon:
+                return False  # not ahead of the clock: nothing to run
+        return self._run(horizon, loop=False)
 
     def advance_to(self, t: float) -> None:
         """Process every event with time ≤ ``t`` and park the clock there.
@@ -1116,30 +1126,37 @@ class FlowStepper:
         if not math.isfinite(t):
             raise ValueError(f"cannot advance the clock to {t}")
         while self._t * (1 + _ADMIT_TOL) < t:
-            if not self._run(t, fold=True):
+            if not self._run(t, loop=True):
                 break
 
     def drain(self) -> None:
         """Step until every registered job has completed."""
         while self._completed < self._n:
-            if not self._run(None, fold=True):
+            if not self._run(None, loop=True):
                 break  # unreachable while jobs remain; defensive
 
-    def _run(self, horizon: float | None, fold: bool) -> bool:
-        """The event loop: one event, or a folded run of events.
+    def _run(self, horizon: float | None, loop: bool) -> bool:
+        """The event loop: one event, or a pass of events up to a horizon.
 
         Each iteration is one event: the Zeno guard, due fault actions,
         admission of due arrivals, the idle jump when nothing is active,
         promotion to the incremental structures, the segment's rates, its
-        length ``dt``, progress, and completions.  ``fold=False`` (what
-        :meth:`step` passes) stops after one iteration.  ``fold=True``
-        keeps iterating up to ``horizon`` (with ``None``, up to the last
-        completion) where the run allows it, and takes one iteration
-        where it does not; :meth:`advance_to` and :meth:`drain` loop
-        either way.  A run folds only where nothing but arrivals and
-        completions can interleave: promoted runs, and rates-stable dense
-        runs on the vectorized hook without timers or segment recording
-        (``_fold_dense``); never under a fault plan.
+        length ``dt``, progress, and completions.  ``loop=False`` (what
+        :meth:`step` passes) stops after one iteration.  ``loop=True``
+        (what :meth:`advance_to` and :meth:`drain` pass) keeps iterating
+        up to ``horizon`` (with ``None``, up to the last completion).
+        Those two call again only where a pass ends early: where a run
+        promotes, and after every event of a run with a fault plan, which
+        takes one iteration per call (:meth:`_apply_due_faults` works on
+        the stepper's own fields, which a pass flushes only at its end).
+
+        Independently of how far a pass runs, it *folds* — reuses its
+        rates across events, patching them sparsely — only where nothing
+        but arrivals and completions can interleave: promoted runs, and
+        rates-stable dense runs on the vectorized hook without timers or
+        segment recording (``_fold_dense``).  Every other pass recomputes
+        the rates at each event, and ``batch_*`` counts folded passes
+        only.
 
         The iterations run on one of two representations of the active
         set, and one pass may switch between them at any iteration:
@@ -1150,8 +1167,8 @@ class FlowStepper:
           timer or ``set_weights``) of a policy with that hook while at
           most :data:`SCALAR_MAX_ACTIVE` jobs are active: below that size
           numpy's per-call overhead dominates every array operation.  The
-          lists outlive the call, so a run of one-event calls (SRPT never
-          folds) touches no numpy buffer between them;
+          lists outlive the call, so a run of :meth:`step` calls touches
+          no numpy buffer between them;
         * :meth:`_run_array` works on the numpy buffers and covers every
           run.  A pass on it hands back to the lists once the active set
           has shrunk to half the threshold (the hysteresis keeps a run
@@ -1194,7 +1211,9 @@ class FlowStepper:
             self._push_weights()
         max_events = self._max_events
         if not max_events:
-            max_events = self.config.max_events or default_max_events(self._n)
+            max_events = self.config.max_events
+            if max_events is None:
+                max_events = default_max_events(self._n)
             if self.faults is not None:
                 # each fault point costs O(1) extra events (segment split,
                 # re-rate, possible resume); 8x is far above the worst case
@@ -1206,9 +1225,8 @@ class FlowStepper:
             and self._na >= self._inc_min
         ):
             self._inc_promote()
-        fold = fold and self.faults is None and (
-            self._inc is not None or self._fold_dense
-        )
+        loop = loop and self.faults is None
+        fold = loop and (self._inc is not None or self._fold_dense)
         limit = max_events + self._parked
         top = SCALAR_MAX_ACTIVE
         scalar = (
@@ -1229,9 +1247,13 @@ class FlowStepper:
         try:
             while True:
                 if scalar:
-                    ret, vec = self._run_scalar(horizon, fold, limit, vec)
+                    ret, vec = self._run_scalar(
+                        horizon, loop, fold, limit, vec
+                    )
                 else:
-                    ret, vec = self._run_array(horizon, fold, limit, vec, mid)
+                    ret, vec = self._run_array(
+                        horizon, loop, fold, limit, vec, mid
+                    )
                 if ret is not None:
                     break
                 # the scalar loop hands over right after admissions (the
@@ -1255,7 +1277,12 @@ class FlowStepper:
         return ret
 
     def _run_scalar(
-        self, horizon: float | None, fold: bool, limit: int, vec: list | None
+        self,
+        horizon: float | None,
+        loop: bool,
+        fold: bool,
+        limit: int,
+        vec: list | None,
     ) -> tuple[bool | None, list | None]:
         """:meth:`_run`'s iterations on Python lists (small plain runs).
 
@@ -1271,12 +1298,14 @@ class FlowStepper:
         to bring up to date when code outside this loop reads them.  The
         master columns are written as the jobs come and go.  Arrival and
         completion hooks get a :class:`_ListView` over the lists.
+        ``loop`` and ``fold`` are :meth:`_run`'s: whether the pass runs on
+        to the horizon, and whether it reuses rates across its events.
 
         Returns ``(ret, vec)`` with ``ret`` as :meth:`_run` returns it, or
         ``None`` when admissions took the active set past
-        :data:`SCALAR_MAX_ACTIVE` (or, in a one-event call, to the
-        promotion threshold): the array loop then takes the lists over
-        and finishes the iteration.
+        :data:`SCALAR_MAX_ACTIVE` (or, in a pass that does not fold, to
+        the promotion threshold): the array loop then takes the lists
+        over and finishes the iteration.
         """
         perf = self.perf
         policy = self.policy
@@ -1381,7 +1410,7 @@ class FlowStepper:
                         ret = False
                         break
                     t = max(t, nxt)
-                    if fold and (horizon is None or t * admit_mul < horizon):
+                    if loop and (horizon is None or t * admit_mul < horizon):
                         continue
                     break
 
@@ -1491,7 +1520,7 @@ class FlowStepper:
                             policy.on_completion(j, _ListView(t, m, cols, speed))
                     cache = None
 
-                if not fold:
+                if not loop:
                     break
                 if horizon is not None:
                     if not (t * admit_mul < horizon):
@@ -1524,6 +1553,7 @@ class FlowStepper:
     def _run_array(
         self,
         horizon: float | None,
+        loop: bool,
         fold: bool,
         limit: int,
         vec: np.ndarray | None,
@@ -1531,12 +1561,14 @@ class FlowStepper:
     ) -> tuple[bool | None, np.ndarray | None]:
         """:meth:`_run`'s iterations on the numpy buffers (every run).
 
-        ``mid`` enters right after the admissions of an iteration the
-        scalar loop began.  Returns ``(ret, vec)`` with ``ret`` as
-        :meth:`_run` returns it, or ``None`` when the pass should go on
-        in :meth:`_run_scalar`: the active set of a run it serves has
-        shrunk to ``SCALAR_MAX_ACTIVE // 2``.  The pass owns the buffers:
-        it takes over and drops the scalar loop's lists on entry.
+        ``loop`` and ``fold`` are :meth:`_run`'s (see
+        :meth:`_run_scalar`); ``mid`` enters right after the admissions of
+        an iteration the scalar loop began.  Returns ``(ret, vec)`` with
+        ``ret`` as :meth:`_run` returns it, or ``None`` when the pass
+        should go on in :meth:`_run_scalar`: the active set of a run it
+        serves has shrunk to ``SCALAR_MAX_ACTIVE // 2``.  The pass owns
+        the buffers: it takes over and drops the scalar loop's lists on
+        entry.
         """
         if self._lists is not None:
             self._sync_buffers()
@@ -1545,8 +1577,9 @@ class FlowStepper:
         faults = self.faults
         # an order-spec policy still below the promotion threshold: a
         # folded pass ends at the iteration boundary where admissions have
-        # crossed it (the caller's next pass promotes on entry), a
-        # one-event call promotes in place right after admission
+        # crossed it (the caller's next pass promotes on entry), any other
+        # pass promotes in place right after admission and ends after that
+        # iteration, so the caller's next pass folds
         watch = self._inc_spec is not None and inc is None
         inc_min = self._inc_min
         down = self._scalar_ok and inc is None
@@ -1636,8 +1669,9 @@ class FlowStepper:
 
                     # ---- faults due now (before arrivals: a processor that
                     # crashed at t is already gone when a job arriving at t
-                    # draws).  Fault runs never fold, so this is the pass's
-                    # first iteration and the stepper's own fields are current.
+                    # draws).  Fault runs take one event per pass, so this is
+                    # its first iteration and the stepper's own fields are
+                    # current.
                     if faults is not None:
                         self._apply_due_faults()
                         na = self._na
@@ -1702,7 +1736,7 @@ class FlowStepper:
                     # the idle jump is an event of its own; the next
                     # iteration admits
                     t = max(t, nxt)
-                    if fold and (horizon is None or t * admit_mul < horizon):
+                    if loop and (horizon is None or t * admit_mul < horizon):
                         continue
                     break
 
@@ -1710,7 +1744,7 @@ class FlowStepper:
                     self._na = na
                     self._inc_promote()
                     inc = self._inc
-                    watch = down = False
+                    watch = down = loop = False
                     cache = None
 
                 # ---- constant-rate segment until the next event -------
@@ -2002,7 +2036,7 @@ class FlowStepper:
                             policy.on_completion(j, self._view(t, na))
                     cache = None
 
-                if not fold:
+                if not loop:
                     break
                 if horizon is not None:
                     if not (t * admit_mul < horizon):

@@ -10,10 +10,10 @@ hooks/timers/object-path policies), how many unit steps the wsim
 event-horizon kernel skipped (``horizon_jumps`` / ``horizon_steps_saved``),
 how many runs fell off the kernel's dyadic-grid exactness contract and
 took the pure per-step path (``exactness_fallbacks``), what folded
-passes of the flowsim event loop absorbed (``batch_jumps`` passes
-folding ``batch_events_folded`` events that would otherwise each have
-been a one-event call, of which ``batch_rate_patches`` decision points
-refreshed the rate vector through the policy's sparse
+passes of the flowsim event loop absorbed (``batch_jumps`` passes that
+reused their rates across ``batch_events_folded`` events instead of
+recomputing them at each, of which ``batch_rate_patches`` decision
+points refreshed the rate vector through the policy's sparse
 ``rates_array_patch`` instead of a full ``rates_array`` rebuild), what
 the incremental order/calendar kernels did (``order_ops`` structural
 mutations of the live priority order, ``calendar_pops`` heap pops and

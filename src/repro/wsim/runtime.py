@@ -170,6 +170,8 @@ class WsConfig:
             )
         if self.preemption_overhead < 0:
             raise ValueError("preemption_overhead must be >= 0")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ValueError("max_steps must be >= 1 (None: the default)")
 
 
 @dataclass(slots=True)
@@ -388,7 +390,9 @@ class WsRuntime:
             # parked capacity stretches the schedule like downtime does
             self._ms_factor = 100
             self._ms_const = 20_000
-        self.max_steps = config.max_steps or self._ms_const
+        self.max_steps = (
+            self._ms_const if config.max_steps is None else config.max_steps
+        )
         self.perf = PerfCounters()
         self._pull_next()  # prime the one-job lookahead
 
@@ -427,7 +431,7 @@ class WsRuntime:
             self.total_work_units >= 2**31 or not _on_grid(spec.dag.weights)
         ):
             self._grid_exact = False  # run loop books the fallback
-        if not self.config.max_steps:
+        if self.config.max_steps is None:
             self.max_steps = (
                 self._horizon_seen
                 + self._ms_factor * self.total_work_units

@@ -4,9 +4,9 @@ The engine picks its paths from what a policy *class* overrides — the
 vectorized ``rates_array`` hook and its sparse ``rates_array_patch``
 complement, and their scalar twins ``rates_scalar`` /
 ``rates_scalar_patch`` — and from the run itself: ``step()`` always
-handles one event, while ``drain()`` / ``advance_to()`` fold whole runs
-of events where the run allows it, and a plain run of a policy with the
-scalar hooks runs on Python lists while it has at most
+handles one event, while ``drain()`` / ``advance_to()`` run their events
+in one pass and fold them where the run allows it, and a plain run of a
+policy with the scalar hooks runs on Python lists while it has at most
 ``SCALAR_MAX_ACTIVE`` active jobs.  The equivalence suites use these
 helpers to run the remaining path of the same policy against the goldens
 and against the default run.

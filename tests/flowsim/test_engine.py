@@ -275,6 +275,64 @@ class TestParkedIterations:
         assert (stepper.now, stepper.events) == (1.0, 1)
         assert stepper.remaining_of(0) == 1.0
 
+    @pytest.mark.parametrize("behind", [1.0, 5.0])
+    def test_step_to_a_horizon_not_ahead_is_a_noop(self, behind):
+        """A step bounded by a horizon at or behind the clock used to run
+        one unbounded event past it (an SRPT job finishing at 10.0 after
+        ``step(1.0)`` at 5.0); like advance_to, it now does nothing."""
+        from repro.flowsim.engine import FlowStepper
+
+        stepper = FlowStepper(1, SRPT())
+        stepper.add_jobs(list(make_trace([10.0]).jobs))
+        stepper.advance_to(5.0)
+        before = stepper.state_dict()
+        assert stepper.step(behind) is False
+        assert stepper.state_dict() == before
+        assert (stepper.now, stepper.events, stepper.n_completed) == (5.0, 1, 0)
+
+    def test_noop_steps_leave_the_zeno_budget_alone(self):
+        """Parked iterations do not count against the budget, so a step
+        that ran a whole event while booking it as parked escaped the
+        guard: 500 ``step(0.0)`` calls under ``max_events=50`` ran 500
+        Zeno events and never raised."""
+        from repro.flowsim.engine import FlowStepper
+
+        stepper = FlowStepper(
+            1, TestEventBudget.ZenoTimer(), config=FlowSimConfig(max_events=50)
+        )
+        stepper.add_jobs(list(make_trace([1.0]).jobs))
+        for _ in range(500):
+            assert stepper.step(0.0) is False
+        assert (stepper.now, stepper.events) == (0.0, 0)
+        assert stepper.state_dict()["parked"] == 0
+        with pytest.raises(FlowSimError, match="exceeded 50 events"):
+            for _ in range(51):
+                stepper.step()
+        assert stepper.events == 51
+
+
+class TestEventCaps:
+    """A cap below 1 is refused where it is written down; ``None`` is
+    the default budget.  ``0`` used to mean the default silently and a
+    negative cap failed the first event of every run."""
+
+    @pytest.mark.parametrize("cap", [-5, 0])
+    def test_config_refuses(self, cap):
+        with pytest.raises(ValueError, match="max_events"):
+            FlowSimConfig(max_events=cap)
+
+    @pytest.mark.parametrize("cap", [-5, 0])
+    def test_checkpoint_with_such_a_cap_is_refused(self, cap):
+        from repro.flowsim.engine import FlowStepper
+
+        stepper = FlowStepper(1, SRPT())
+        stepper.add_jobs(list(make_trace([2.0, 3.0]).jobs))
+        stepper.advance_to(1.0)
+        state = stepper.state_dict()
+        state["config"]["max_events"] = cap
+        with pytest.raises(FlowSimError, match="max_events"):
+            FlowStepper.from_state_dict(state, SRPT(), stepper.finished_state())
+
 
 class TestDeterminism:
     def test_same_seed_same_result(self, small_random_trace):

@@ -6,10 +6,11 @@ picks its paths by capability and by call:
 * policies implementing the vectorized ``rates_array`` hook are fed the
   buffers directly; the rest go through ``rates(ActiveView)`` (the
   object path);
-* ``drain()`` / ``advance_to()`` fold whole runs of events into one call
+* ``drain()`` / ``advance_to()`` run their events in one pass unless a
+  fault plan is attached, and fold them (reuse the rates across events)
   where the run allows it (rates-stable policies with the hook, and no
-  timer, fault plan or segment recording), while ``step()`` always
-  handles one event;
+  timer or segment recording), while ``step()`` always handles one
+  event;
 * inside a folded pass, DREP-style policies patch the previous rate
   vector through ``rates_array_patch`` instead of rebuilding it.
 
@@ -46,6 +47,7 @@ from tests.flowsim.paths import (
     step_to,
     unpatched,
 )
+from tests.wsim.test_runtime_properties import random_dag_trace
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 _spec = importlib.util.spec_from_file_location(
@@ -202,8 +204,8 @@ def test_batched_equals_unit_on_object_path(inst, seed):
     """Without the vectorized hook a run must not fold — and not drift.
 
     The object path has no ``rates_array`` surface for a folded pass to
-    run on, so ``drain()`` takes one event per call exactly like a
-    ``step()`` loop; any disagreement means folding leaks into
+    run on, so ``drain()`` recomputes the rates at every event exactly
+    like a ``step()`` loop; any disagreement means folding leaks into
     unrelated plumbing.
     """
     trace, m, mode = inst
@@ -314,8 +316,8 @@ def test_batch_kernel_actually_engages():
 def test_fold_rule(policy, config, folds):
     """Which runs fold is derived from the policy and the run: rates-stable
     dense runs on the vectorized hook without timers or segment
-    recording, and promoted runs; everything else takes one event per
-    call and reports no fold counters (the benchmark pins both sides)."""
+    recording, and promoted runs; everything else runs unfolded and
+    reports no fold counters (the benchmark pins both sides)."""
     trace = generate_trace(60, "finance", 0.7, 4, seed=5)
     perf = _perf_of(simulate(trace, 4, policy_by_name(policy), seed=5, config=config))
     assert (perf.get("batch_jumps", 0) > 0) is folds
@@ -326,6 +328,105 @@ def test_object_path_never_folds():
     trace = generate_trace(60, "finance", 0.7, 4, seed=5)
     perf = _perf_of(simulate(trace, 4, object_path("drep"), seed=5))
     assert "batch_jumps" not in perf
+
+
+# -- unfolded passes vs one event per call ---------------------------------
+
+#: runs whose ``advance_to``/``drain`` passes recompute the rates at every
+#: event: name -> (policy factory, config)
+UNFOLDED_RUNS = {
+    "srpt-dense": (
+        lambda: policy_by_name("srpt"),
+        FlowSimConfig(incremental_min_active=10**9),
+    ),
+    "setf": (lambda: policy_by_name("setf"), FlowSimConfig()),
+    "mlf": (lambda: policy_by_name("mlf"), FlowSimConfig()),
+    "random-np": (lambda: policy_by_name("random-np"), FlowSimConfig()),
+    "srpt-object": (lambda: object_path("srpt"), FlowSimConfig()),
+    "drep-segments": (
+        lambda: policy_by_name("drep"),
+        FlowSimConfig(record_segments=True),
+    ),
+    "srpt-profiles": (
+        lambda: policy_by_name("srpt"),
+        FlowSimConfig(use_profiles=True),
+    ),
+}
+
+
+@st.composite
+def unfolded_case(draw):
+    """A run of :data:`UNFOLDED_RUNS` with an instance it can take: the
+    profile run gets jobs whose DAGs change their parallelism as they
+    run."""
+    run = draw(st.sampled_from(sorted(UNFOLDED_RUNS)))
+    if run == "srpt-profiles":
+        trace, m = draw(random_dag_trace())
+    else:
+        trace, m, _mode = draw(random_instance())
+    return run, trace, m
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=unfolded_case(),
+    horizons=st.lists(st.floats(0.5, 60.0, allow_nan=False), max_size=4),
+    seed=st.integers(0, 10),
+)
+def test_unfolded_passes_equal_unit_steps(case, horizons, seed):
+    """Runs that do not fold still run each ``advance_to``/``drain`` as
+    one pass; it must book exactly what one ``step()`` call per event
+    books: clock and counts at every horizon, flows, extras (segments
+    included), every perf counter and the policy's RNG state."""
+    run, trace, m = case
+    make, config = UNFOLDED_RUNS[run]
+
+    def go(passes):
+        policy = make()
+        stepper = FlowStepper(m, policy, seed=seed, config=config)
+        stepper.add_jobs(list(trace.jobs))
+        marks = []
+        for h in sorted(horizons):
+            if passes:
+                stepper.advance_to(h)
+            else:
+                step_to(stepper, h)
+            marks.append(
+                (stepper.now, stepper.n_completed, stepper.n_active, stepper.events)
+            )
+        if passes:
+            stepper.drain()
+        else:
+            step_through(stepper)
+        rng = getattr(policy, "_rng", None)
+        digest = None if rng is None else gen_goldens._rng_digest(rng)
+        return marks, full_record(stepper.result()), digest
+
+    passes, unit = go(True), go(False)
+    assert "batch_jumps" not in passes[1]["perf"]  # the run did not fold
+    assert passes == unit
+
+
+def test_unfolded_drain_is_one_pass(monkeypatch):
+    """A dense SRPT ``drain()`` recomputes its rates at every event but
+    runs all 400 of them in a single ``_run`` pass; returning after each
+    event made about 400 entries."""
+    entries = []
+    run = FlowStepper._run
+
+    def counting(self, *args, **kwargs):
+        entries.append(args)
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(FlowStepper, "_run", counting)
+    trace = generate_trace(200, "finance", 0.7, 4, seed=23)
+    stepper = FlowStepper(4, policy_by_name("srpt"), seed=23)
+    stepper.add_jobs(list(trace.jobs))
+    stepper.drain()
+    result = stepper.result()
+    assert result.extra["events"] == 400
+    assert "batch_jumps" not in _perf_of(result)
+    assert len(entries) == 1
 
 
 # -- patched rate vector vs full rebuilds ------------------------------------

@@ -128,6 +128,13 @@ class TestConfig:
                 small_dag_trace, 4, DrepWS(), config=WsConfig(max_steps=3)
             )
 
+    @pytest.mark.parametrize("cap", [-5, 0])
+    def test_max_steps_below_one_refused(self, cap):
+        """``0`` used to mean the default bound silently, and ``-5`` made
+        every run stop at step 0 with "exceeded -5 steps"."""
+        with pytest.raises(ValueError, match="max_steps"):
+            WsConfig(max_steps=cap)
+
     @pytest.mark.parametrize("mode", ["steal", "node", "step"])
     def test_all_preempt_modes_complete(self, mode, small_dag_trace):
         config = WsConfig(preempt_check=mode)
