@@ -74,7 +74,7 @@ report:
 	PYTHONPATH=src $(PYTHON) -m repro.cli report --out report.md
 
 examples:
-	@for ex in examples/*.py; do echo "== $$ex"; PYTHONPATH=src $(PYTHON) $$ex; done
+	@for ex in examples/*.py; do echo "== $$ex"; PYTHONPATH=src $(PYTHON) $$ex || exit 1; done
 
 clean:
 	rm -rf .pytest_cache .hypothesis .benchmarks results/*.svg report.md

@@ -266,12 +266,10 @@ class StreamingMetrics:
         self.count = 0
         self.max_flow = 0.0
         self._flow_sum = _CompensatedSum()
-        self._flow_sq_sum = _CompensatedSum()
         self._weight_sum = _CompensatedSum()
         self._wflow_sum = _CompensatedSum()
         self._slow_count = 0
         self._slow_sum = _CompensatedSum()
-        self._slow_sq_sum = _CompensatedSum()
         self.max_slowdown = 0.0
         self._reservoir = np.empty(self.reservoir_size, dtype=float)
         # whether any producer ever supplied weights: an unweighted run
@@ -328,7 +326,6 @@ class StreamingMetrics:
                 raise ValueError("min_flows must be positive")
 
         self._flow_sum.add(math.fsum(flows))
-        self._flow_sq_sum.add(math.fsum(flows * flows))
         mx = float(flows.max())
         if mx > self.max_flow:
             self.max_flow = mx
@@ -342,7 +339,6 @@ class StreamingMetrics:
             s = flows / min_flows
             self._slow_count += n
             self._slow_sum.add(math.fsum(s))
-            self._slow_sq_sum.add(math.fsum(s * s))
             smx = float(s.max())
             if smx > self.max_slowdown:
                 self.max_slowdown = smx
@@ -399,14 +395,6 @@ class StreamingMetrics:
     def mean_flow(self) -> float:
         return self._flow_sum.value / self.count if self.count else 0.0
 
-    @property
-    def flow_stddev(self) -> float:
-        if not self.count:
-            return 0.0
-        mean = self.mean_flow
-        var = self._flow_sq_sum.value / self.count - mean * mean
-        return math.sqrt(max(var, 0.0))
-
     def weighted_mean_flow(self) -> float:
         total = self._weight_sum.value
         return self._wflow_sum.value / total if total else 0.0
@@ -415,13 +403,6 @@ class StreamingMetrics:
         if not self._slow_count:
             raise ValueError("no min_flows were folded; slowdowns unavailable")
         return self._slow_sum.value / self._slow_count
-
-    def slowdown_stddev(self) -> float:
-        if not self._slow_count:
-            raise ValueError("no min_flows were folded; slowdowns unavailable")
-        mean = self.mean_slowdown()
-        var = self._slow_sq_sum.value / self._slow_count - mean * mean
-        return math.sqrt(max(var, 0.0))
 
     @property
     def slo_attainment(self) -> float | None:

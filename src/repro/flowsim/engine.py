@@ -33,10 +33,8 @@ parallel buffers (ids / remaining / caps / tol / work / release) that the
 loop reads and updates in place — no per-event gathers against the master
 job table.  What varies between runs is data inside that loop, chosen by
 what the policy and the run expose: where the rates come from (the
-vectorized :meth:`~repro.flowsim.policies.base.Policy.rates_array` hook
-fed the buffers directly, :meth:`~repro.flowsim.policies.base.Policy.rates`
-on a materialized :class:`~repro.flowsim.policies.base.ActiveView` for
-policies without it, or the incremental order structures of
+policy's :meth:`~repro.flowsim.policies.base.Policy.rates_array` fed the
+buffers directly, or the incremental order structures of
 :mod:`repro.flowsim.order`), how the next completion is found (a scan or a
 calendar), and whether a pass folds its events — reuses their rates,
 patching them sparsely — or recomputes the rates at each.  Every
@@ -327,8 +325,8 @@ class FlowStepper:
     *horizon* so the clock can be parked at an arbitrary time ``t`` before
     mutating the job set.  A horizon stop splits a constant-rate segment
     in two, which changes nothing observable: job progress is linear in
-    time, ``Policy.rates`` is a pure function of the view, and randomness
-    only happens inside arrival/completion hooks.  When horizons coincide
+    time, ``Policy.rates_array`` is a pure function of the active set's
+    fields, and randomness only happens inside arrival/completion hooks.  When horizons coincide
     with event times (e.g. submitting each job at exactly its release),
     the trajectory — including every RNG draw — is *bit-for-bit* the same
     as the batch run.
@@ -487,17 +485,11 @@ class FlowStepper:
         )
         self._has_timer = ptype.next_timer is not Policy.next_timer
         self._has_fault_hook = ptype.on_fault is not Policy.on_fault
-        self._rates_array_fn = (
-            self.policy.rates_array
-            if ptype.rates_array is not Policy.rates_array
-            else None
-        )
-        # sparse complement of the vectorized hook, used inside folded
-        # passes only (every other pass rebuilds at each event)
+        # sparse complement of the rate hook, used inside folded passes
+        # only (every other pass rebuilds at each event)
         self._rates_patch_fn = (
             self.policy.rates_array_patch
-            if self._rates_array_fn is not None
-            and ptype.rates_array_patch is not Policy.rates_array_patch
+            if ptype.rates_array_patch is not Policy.rates_array_patch
             else None
         )
         # profile-driven caps move with attained work, which changes
@@ -513,7 +505,6 @@ class FlowStepper:
         # rule folding out for every run (see _run).
         self._fold_dense = (
             self._rates_stable
-            and self._rates_array_fn is not None
             and not self._has_timer
             and not self._record_segments
         )
@@ -525,7 +516,6 @@ class FlowStepper:
         scalar_patch = ptype.rates_scalar_patch is not Policy.rates_scalar_patch
         self._scalar_ok = (
             self._plain
-            and self._rates_array_fn is not None
             and not self._has_timer
             and not self._record_segments
             and not hasattr(self.policy, "set_weights")
@@ -555,15 +545,12 @@ class FlowStepper:
         # between events (the order alone no longer determines rates),
         # timers need views anyway, segment recording wants the dense
         # vector, and weighted policies fold a table the spec can't see
-        # — all of those stay dense, as does a policy without the
-        # vectorized hook (the spec describes that hook; without it the
-        # rates come from rates(view)).
+        # — all of those stay dense.
         spec = getattr(self.policy, "order_spec", None)
         self._inc: _IncrementalCore | None = None
         self._inc_spec = None
         if (
             spec is not None
-            and self._rates_array_fn is not None
             and not self._has_timer
             and not self._use_profiles
             and not self._record_segments
@@ -924,8 +911,8 @@ class FlowStepper:
 
     def _view(self, t: float, na: int) -> ActiveView:
         """The :class:`ActiveView` of the first ``na`` active jobs at ``t``
-        — what policy hooks, timers and the object path see.  Called only
-        inside a pass of :meth:`_run_array`, which owns the buffers."""
+        — what policy hooks and timers see.  Called only inside a pass of
+        :meth:`_run_array`, which owns the buffers."""
         self.perf.view_builds += 1
         ids = self._a_ids[:na]
         rem = self._a_rem[:na]
@@ -1153,10 +1140,9 @@ class FlowStepper:
         Independently of how far a pass runs, it *folds* — reuses its
         rates across events, patching them sparsely — only where nothing
         but arrivals and completions can interleave: promoted runs, and
-        rates-stable dense runs on the vectorized hook without timers or
-        segment recording (``_fold_dense``).  Every other pass recomputes
-        the rates at each event, and ``batch_*`` counts folded passes
-        only.
+        rates-stable dense runs without timers or segment recording
+        (``_fold_dense``).  Every other pass recomputes the rates at each
+        event, and ``batch_*`` counts folded passes only.
 
         The iterations run on one of two representations of the active
         set, and one pass may switch between them at any iteration:
@@ -1179,9 +1165,8 @@ class FlowStepper:
 
         * rates come from the cached vector (patched in place through
           :meth:`Policy.rates_array_patch` inside a folded pass), from
-          :meth:`Policy.rates_array`, from :meth:`Policy.rates` for
-          policies without the vectorized hook, or — once promoted —
-          from the order walk (:meth:`_inc_build_alloc`);
+          :meth:`Policy.rates_array`, or — once promoted — from the order
+          walk (:meth:`_inc_build_alloc`);
         * the next completion comes from a finish-time scan (gathered to
           the served entries when they are few, inside a folded pass) or
           from the :class:`CompletionCalendar`;
@@ -1599,7 +1584,7 @@ class FlowStepper:
         m_view = m
         speed = speed0
         plain = self._plain
-        fn = self._rates_array_fn
+        fn = policy.rates_array
         patch_fn = self._rates_patch_fn if fold else None
         stable = self._rates_stable
         has_arrival = self._has_arrival_hook
@@ -1750,7 +1735,6 @@ class FlowStepper:
                 # ---- constant-rate segment until the next event -------
                 ids = a_ids[:na]
                 rem = a_rem[:na]
-                view: ActiveView | None = None
                 if not plain:
                     if inc is None:
                         caps, m_view, speed = self._segment_caps(ids, rem)
@@ -1796,16 +1780,13 @@ class FlowStepper:
                                 rates = vec
                                 c_patch += 1
                         if rates is None:
-                            if fn is not None:
-                                rates = fn(
+                            rates = np.asarray(
+                                fn(
                                     t, m_view, ids, rem,
                                     a_work[:na], a_rel[:na], caps,
-                                )
-                            else:
-                                view = self._view(t, na)
-                                caps = view.caps
-                                rates = policy.rates(view)
-                            rates = np.asarray(rates, dtype=float)
+                                ),
+                                dtype=float,
+                            )
                         if rates.shape != (na,):
                             raise FlowSimError(
                                 f"{policy.name}: rates shape {rates.shape} "
@@ -1820,10 +1801,7 @@ class FlowStepper:
                         c_skip += 1
                     if stable:
                         cache = cur
-                if view is None:
-                    # the rates came off the flat buffers — no ActiveView
-                    # materialized (the SoA fast path)
-                    c_reuse += 1
+                c_reuse += 1
 
                 if inc is not None:
                     # the served set: one gather of its remaining work and
@@ -1883,9 +1861,7 @@ class FlowStepper:
                         np.divide(rem, eff, out=finish, where=served)
                         dt = float(rmin(finish))
                     if has_timer:
-                        if view is None:
-                            view = self._view(t, na)
-                        timer = policy.next_timer(view)
+                        timer = policy.next_timer(self._view(t, na))
                         if timer is not None and timer > t:
                             dt_timer = float(timer) - t
                             if dt_timer < dt:

@@ -1,11 +1,12 @@
 """Policy interface for the flow-level simulator.
 
-A policy sees the active jobs through an :class:`ActiveView` — aligned
-numpy arrays of ids, remaining work, total work, release times, attained
-service and rate caps — and returns a rate vector.  Stateful policies
-(DREP's integral processor assignment) additionally receive arrival and
-completion callbacks; the engine guarantees the callback order documented
-on each hook.
+A policy maps the active jobs — aligned numpy arrays of ids, remaining
+work, total work, release times and rate caps, fed straight from the
+engine's buffers — to a rate vector (:meth:`Policy.rates_array`).
+Stateful policies (DREP's integral processor assignment) additionally
+receive arrival and completion callbacks, which see the same fields
+through an :class:`ActiveView`; the engine guarantees the callback order
+documented on each hook.
 """
 
 from __future__ import annotations
@@ -111,33 +112,23 @@ class ActiveView:
     def attained(self) -> np.ndarray:
         return self.work - self.remaining
 
-    def index_of(self, job_id: int) -> int:
-        """Position of ``job_id`` in the view arrays (raises if absent)."""
-        pos = np.flatnonzero(self.job_ids == job_id)
-        if pos.size != 1:
-            raise KeyError(f"job {job_id} not active")
-        return int(pos[0])
-
 
 class Policy(abc.ABC):
     """Base class for flow-level scheduling policies.
 
     Lifecycle: the engine calls :meth:`reset` once per run, then
     :meth:`on_arrival` / :meth:`on_completion` as events fire, and
-    :meth:`rates` after every event.  ``on_arrival`` is called *after* the
-    new job joins the active set; ``on_completion`` *after* the finished job
-    leaves it.  :meth:`next_timer` lets a policy request an extra event
-    (e.g. SETF's service-level crossings); return ``None`` for never.
+    :meth:`rates_array` after every event.  ``on_arrival`` is called
+    *after* the new job joins the active set; ``on_completion`` *after*
+    the finished job leaves it.  :meth:`next_timer` lets a policy request
+    an extra event (e.g. SETF's service-level crossings); return ``None``
+    for never.
 
-    :meth:`rates` must return a *fresh* array on every call (never a view
-    of internal state that a later hook mutates): the engine may hold on
-    to the vector across events when :attr:`rates_stable` permits.
-
-    Three optional hooks serve the engine's faster paths, each bit-for-bit
-    equal to :meth:`rates`: :meth:`rates_array` on the flat numpy buffers,
-    :meth:`rates_array_patch` for sparse updates inside folded passes, and
-    :meth:`rates_scalar` (with :meth:`rates_scalar_patch`) on Python lists
-    for small active sets.
+    :meth:`rates_array` is the one rate rule every policy states.  Three
+    optional hooks serve the engine's faster paths, each bit-for-bit equal
+    to it: :meth:`rates_array_patch` for sparse updates inside folded
+    passes, and :meth:`rates_scalar` (with :meth:`rates_scalar_patch`) on
+    Python lists for small active sets.
     """
 
     #: Human-readable name used in results and plots.
@@ -161,15 +152,14 @@ class Policy(abc.ABC):
     #: attained or remaining work (SRPT, SETF, MLF) must leave this
     #: ``False``.
     #:
-    #: With a :meth:`rates_array` override (and no timer), the contract
-    #: also lets the engine fold whole runs of events between true
-    #: decision points — every completion before the next arrival, and
-    #: the arrivals themselves — into one pass over its flat buffers
-    #: (``FlowStepper.drain`` / ``advance_to``).  A folded pass keeps the
+    #: Without a timer, the contract also lets the engine fold whole runs
+    #: of events between true decision points — every completion before
+    #: the next arrival, and the arrivals themselves — into one pass over
+    #: its flat buffers (``FlowStepper.drain`` / ``advance_to``).  A folded pass keeps the
     #: exact hook order, view contents and RNG draw sequence, so it adds
     #: two requirements: the policy must not treat the *number* of engine
-    #: iterations as information (e.g. counting ``rates`` calls as a
-    #: clock), and :meth:`rates_array` must return nonnegative rates on
+    #: iterations as information (e.g. counting rate calls as a clock),
+    #: and :meth:`rates_array` must return nonnegative rates on
     #: every call — not merely on the amortized ``check_every_k``
     #: verification grid, since the pass's sparse updates skip zero-rate
     #: entries that a negative rate would silently turn into (erroneous)
@@ -186,9 +176,8 @@ class Policy(abc.ABC):
     #: :meth:`rates_array` *exactly* — same keys, same tie-breaks, same
     #: allocation — since the engine stops calling the hook on the
     #: incremental path and the equivalence suite pins bit-for-bit
-    #: equality against it (the engine only promotes policies that
-    #: override :meth:`rates_array`).  ``None`` (the default) keeps the
-    #: policy on the dense paths.
+    #: equality against it.  ``None`` (the default) keeps the policy on
+    #: the dense paths.
     order_spec: "OrderSpec | None" = None
 
     def reset(self, m: int, rng: np.random.Generator) -> None:
@@ -216,13 +205,6 @@ class Policy(abc.ABC):
         """
 
     @abc.abstractmethod
-    def rates(self, view: ActiveView) -> np.ndarray:
-        """Rate vector aligned with ``view.job_ids``.
-
-        Must satisfy ``0 <= rates <= caps`` elementwise and
-        ``rates.sum() <= m`` (the engine verifies both).
-        """
-
     def rates_array(
         self,
         t: float,
@@ -233,25 +215,20 @@ class Policy(abc.ABC):
         release: np.ndarray,
         caps: np.ndarray,
     ) -> np.ndarray:
-        """Optional vectorized twin of :meth:`rates` (SoA fast path).
+        """Rate vector aligned with ``job_ids`` at time ``t``.
 
-        Policies that override this are fed the engine's flat active-set
-        buffers directly — no :class:`ActiveView` is materialized on the
-        hot path.  The arguments mirror the view fields (``job_ids``
-        sorted ascending); the contract is strict:
+        The arguments are the active set's aligned fields (``job_ids``
+        sorted ascending; ``work - remaining`` is the attained service)
+        and ``m``, the processors currently up.  The contract:
 
-        * the returned vector must be **bit-for-bit identical** to what
-          :meth:`rates` returns on the equivalent view (the golden tests
-          and a Hypothesis property enforce this);
-        * the input arrays alias live engine state — never mutate or
-          retain them; always return a fresh array.
-
-        The engine uses the hook whenever the policy class overrides it;
-        a policy that does not is served through :meth:`rates` on a
-        materialized view (the object path).  Timer policies still
-        receive their :meth:`next_timer` view.
+        * ``0 <= rates <= caps`` elementwise and ``rates.sum() <= m``
+          (the engine verifies both);
+        * the input arrays alias the engine's live buffers — never mutate
+          or retain them — and the result is a *fresh* array on every
+          call (never a view of internal state that a later hook
+          mutates): the engine may hold on to the vector across events
+          when :attr:`rates_stable` permits.
         """
-        raise NotImplementedError(f"{self.name} has no vectorized rate hook")
 
     def rates_array_patch(
         self, job_ids: np.ndarray, caps: np.ndarray

@@ -86,11 +86,6 @@ def _one_proc_rates_arr(
     return rates
 
 
-def _one_proc_rates(view: ActiveView, assignment: np.ndarray) -> np.ndarray:
-    """View-based wrapper over :func:`_one_proc_rates_arr`."""
-    return _one_proc_rates_arr(view.job_ids, view.caps, assignment)
-
-
 class _DrepBase(Policy):
     """Shared machinery: per-processor assignment table and counters.
 
@@ -482,14 +477,10 @@ class DrepSequential(_DrepBase):
             pick = int(unassigned[self._rng.integers(unassigned.size)])
             self._move([int(proc)], [pick], preempt=False)
 
-    def rates(self, view: ActiveView) -> np.ndarray:
-        assert self._assignment is not None
-        # sequential DREP gives each job at most one processor
-        return _one_proc_rates(view, self._assignment)
-
     def rates_array(self, t, m, job_ids, remaining, work, release, caps):
         assert self._assignment is not None
         self._rate_dirty.clear()
+        # sequential DREP gives each job at most one processor
         return _one_proc_rates_arr(job_ids, caps, self._assignment)
 
     def rates_scalar(self, t, m, job_ids, remaining, work, release, caps):
@@ -560,12 +551,6 @@ class DrepParallel(_DrepBase):
         if k <= _SCALAR_MOVES:
             return [int(job_ids[rng.integers(n)]) for _ in range(k)]
         return job_ids[rng.integers(n, size=k)].tolist()
-
-    def rates(self, view: ActiveView) -> np.ndarray:
-        return self.rates_array(
-            view.t, view.m, view.job_ids, view.remaining,
-            view.work, view.release, view.caps,
-        )
 
     def rates_array(self, t, m, job_ids, remaining, work, release, caps):
         assert self._assignment is not None

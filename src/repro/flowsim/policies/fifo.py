@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.flowsim.policies.base import ActiveView, OrderSpec, Policy
+from repro.flowsim.policies.base import OrderSpec, Policy
 from repro.flowsim.rates import priority_waterfill
 
 __all__ = ["FIFO"]
@@ -24,10 +24,6 @@ class FIFO(Policy):
     clairvoyant = False
     rates_stable = True  # priority is the static release time
     order_spec = OrderSpec(key="release")  # static keys: inserts/removes only
-
-    def rates(self, view: ActiveView) -> np.ndarray:
-        order = np.lexsort((view.job_ids, view.release))
-        return priority_waterfill(view.caps, order, view.m)
 
     def rates_array(self, t, m, job_ids, remaining, work, release, caps):
         order = np.lexsort((job_ids, release))

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from repro.flowsim.policies.base import ActiveView, OrderSpec, Policy
+from repro.flowsim.policies.base import OrderSpec, Policy
 from repro.flowsim.rates import equal_split
 
 __all__ = ["LAPS"]
@@ -37,12 +37,6 @@ class LAPS(Policy):
             raise ValueError(f"beta must be in (0, 1], got {beta}")
         self.beta = beta
         self.name = f"LAPS({beta:g})"
-
-    def rates(self, view: ActiveView) -> np.ndarray:
-        return self.rates_array(
-            view.t, view.m, view.job_ids, view.remaining,
-            view.work, view.release, view.caps,
-        )
 
     def rates_array(self, t, m, job_ids, remaining, work, release, caps):
         n = job_ids.size

@@ -40,35 +40,34 @@ class MLF(Policy):
         self.growth = growth
         self.name = f"MLF(b={base:g},g={growth:g})"
 
-    def _levels(self, view: ActiveView) -> np.ndarray:
+    def _levels(self, attained: np.ndarray) -> np.ndarray:
         """Level index per job: number of thresholds its attained service
         has crossed (threshold k sits at ``base * growth**k``)."""
-        att = np.maximum(view.attained, 0.0)
+        att = np.maximum(attained, 0.0)
         with np.errstate(divide="ignore"):
             lv = np.floor(np.log(np.maximum(att / self.base, 1e-300)) / math.log(self.growth)) + 1
         lv = np.where(att < self.base, 0, lv)
         return np.maximum(lv, 0).astype(int)
 
-    def rates(self, view: ActiveView) -> np.ndarray:
-        if view.n == 0:
+    def rates_array(self, t, m, job_ids, remaining, work, release, caps):
+        n = job_ids.size
+        if n == 0:
             return np.zeros(0)
-        levels = self._levels(view)
-        rates = np.zeros(view.n)
-        left = float(view.m)
+        levels = self._levels(work - remaining)
+        rates = np.zeros(n)
+        left = float(m)
         # serve levels from highest priority (0) down, water-filling
         for lv in np.unique(levels):
             if left <= 0:
                 break
             mask = levels == lv
-            caps = view.caps[mask]
-            total = float(caps.sum())
+            level_caps = caps[mask]
+            total = float(level_caps.sum())
             if total <= left:
-                rates[mask] = caps
+                rates[mask] = level_caps
                 left -= total
             else:
-                full_mask = np.zeros(view.n, dtype=bool)
-                full_mask[np.flatnonzero(mask)] = True
-                rates += equal_split(view.caps, left, full_mask)
+                rates += equal_split(caps, left, mask)
                 left = 0.0
         return rates
 
@@ -76,9 +75,12 @@ class MLF(Policy):
         """Fire when any served job crosses its next demotion threshold."""
         if view.n == 0:
             return None
-        rates = self.rates(view)
+        rates = self.rates_array(
+            view.t, view.m, view.job_ids, view.remaining,
+            view.work, view.release, view.caps,
+        )
         att = view.attained
-        levels = self._levels(view)
+        levels = self._levels(att)
         best: float | None = None
         for k in np.flatnonzero(rates > 0):
             threshold = self.base * self.growth ** int(levels[k])

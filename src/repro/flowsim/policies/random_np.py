@@ -43,15 +43,16 @@ class RandomNonPreemptive(Policy):
     def on_completion(self, job_id: int, view: ActiveView) -> None:
         self._priority.pop(job_id, None)
 
-    def rates(self, view: ActiveView) -> np.ndarray:
+    def rates_array(self, t, m, job_ids, remaining, work, release, caps):
         # non-preemption: a job that has received any service outranks
         # every waiting job (priority -1 < all random tickets in [0, 1)),
         # so it keeps its processor until completion
+        priority = self._priority
         pri = np.array(
             [
-                -1.0 if view.attained[k] > 0 else self._priority[int(j)]
-                for k, j in enumerate(view.job_ids)
+                -1.0 if a > 0 else priority[j]
+                for a, j in zip((work - remaining).tolist(), job_ids.tolist())
             ]
         )
-        order = np.lexsort((view.job_ids, pri))
-        return priority_waterfill(view.caps, order, view.m)
+        order = np.lexsort((job_ids, pri))
+        return priority_waterfill(caps, order, m)

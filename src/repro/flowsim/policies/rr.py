@@ -14,9 +14,7 @@ water-filled redistribution of the excess.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.flowsim.policies.base import ActiveView, Policy
+from repro.flowsim.policies.base import Policy
 from repro.flowsim.rates import equal_split, equal_split_scalar
 
 __all__ = ["RoundRobin"]
@@ -28,9 +26,6 @@ class RoundRobin(Policy):
     name = "RR"
     clairvoyant = False
     rates_stable = True  # equal split over static caps
-
-    def rates(self, view: ActiveView) -> np.ndarray:
-        return equal_split(view.caps, view.m)
 
     def rates_array(self, t, m, job_ids, remaining, work, release, caps):
         return equal_split(caps, m)

@@ -35,9 +35,8 @@ class SETF(Policy):
             raise ValueError("tie_tol must be > 0")
         self.tie_tol = tie_tol
 
-    def _levels(self, view: ActiveView) -> list[np.ndarray]:
+    def _levels(self, att: np.ndarray) -> list[np.ndarray]:
         """Positions grouped by attained service, lowest level first."""
-        att = view.attained
         order = np.argsort(att, kind="stable")
         groups: list[list[int]] = []
         level = None
@@ -50,21 +49,22 @@ class SETF(Policy):
                 groups[-1].append(int(k))
         return [np.array(g, dtype=np.intp) for g in groups]
 
-    def rates(self, view: ActiveView) -> np.ndarray:
-        rates = np.zeros(view.n, dtype=float)
-        left = float(view.m)
-        for group in self._levels(view):
+    def rates_array(self, t, m, job_ids, remaining, work, release, caps):
+        n = job_ids.size
+        rates = np.zeros(n, dtype=float)
+        left = float(m)
+        for group in self._levels(work - remaining):
             if left <= 0:
                 break
-            caps = view.caps[group]
-            total = float(caps.sum())
+            level_caps = caps[group]
+            total = float(level_caps.sum())
             if total <= left:
-                rates[group] = caps  # whole level saturates
+                rates[group] = level_caps  # whole level saturates
                 left -= total
             else:
-                mask = np.zeros(view.n, dtype=bool)
+                mask = np.zeros(n, dtype=bool)
                 mask[group] = True
-                rates += equal_split(view.caps, left, mask)
+                rates += equal_split(caps, left, mask)
                 left = 0.0
         return rates
 
@@ -72,11 +72,14 @@ class SETF(Policy):
         """Earliest time a faster-served level catches the one above it."""
         if view.n < 2:
             return None
-        groups = self._levels(view)
+        att = view.attained
+        groups = self._levels(att)
         if len(groups) < 2:
             return None
-        rates = self.rates(view)
-        att = view.attained
+        rates = self.rates_array(
+            view.t, view.m, view.job_ids, view.remaining,
+            view.work, view.release, view.caps,
+        )
         best: float | None = None
         for g_lo, g_hi in zip(groups, groups[1:]):
             # conservative earliest crossing: fastest job below vs slowest

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.flowsim.policies.base import ActiveView, OrderSpec, Policy
+from repro.flowsim.policies.base import OrderSpec, Policy
 from repro.flowsim.rates import priority_waterfill, priority_waterfill_scalar
 
 __all__ = ["SJF", "SWF"]
@@ -25,10 +25,6 @@ class SJF(Policy):
     clairvoyant = True
     rates_stable = True  # priority is the static total work
     order_spec = OrderSpec(key="work")  # static keys: inserts/removes only
-
-    def rates(self, view: ActiveView) -> np.ndarray:
-        order = np.lexsort((view.job_ids, view.work))
-        return priority_waterfill(view.caps, order, view.m)
 
     def rates_array(self, t, m, job_ids, remaining, work, release, caps):
         order = np.lexsort((job_ids, work))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.flowsim.policies.base import ActiveView, OrderSpec, Policy
+from repro.flowsim.policies.base import OrderSpec, Policy
 from repro.flowsim.rates import priority_waterfill, priority_waterfill_scalar
 
 __all__ = ["SRPT"]
@@ -26,12 +26,8 @@ class SRPT(Policy):
     # (remaining, id) order live across events and waterfills its head
     order_spec = OrderSpec(key="remaining")
 
-    def rates(self, view: ActiveView) -> np.ndarray:
-        # stable tie-break on job id for reproducibility
-        order = np.lexsort((view.job_ids, view.remaining))
-        return priority_waterfill(view.caps, order, view.m)
-
     def rates_array(self, t, m, job_ids, remaining, work, release, caps):
+        # stable tie-break on job id for reproducibility
         order = np.lexsort((job_ids, remaining))
         return priority_waterfill(caps, order, m)
 

@@ -28,7 +28,6 @@ from repro.flowsim.policies.drep import (
     _DOWN,
     _FREE,
     _DrepBase,
-    _one_proc_rates,
     _one_proc_rates_arr,
     _unassigned_ids,
 )
@@ -40,8 +39,8 @@ __all__ = ["HDF", "WSRPT", "WDrep"]
 class _WeightAware(Policy):
     """Mixin: policies that need per-job weights from the trace.
 
-    The engine exposes weights via ``set_weights`` before the run; views
-    carry only ids, so weighted policies index this table.
+    The engine exposes weights via ``set_weights`` before the run; the
+    rate hook sees only ids, so weighted policies index this table.
     """
 
     def __init__(self) -> None:
@@ -49,9 +48,6 @@ class _WeightAware(Policy):
 
     def set_weights(self, weights: np.ndarray) -> None:
         self._weights = np.asarray(weights, dtype=float)
-
-    def weights_of(self, view: ActiveView) -> np.ndarray:
-        return self._weights_for(view.job_ids)
 
     def _weights_for(self, job_ids: np.ndarray) -> np.ndarray:
         if self._weights is None:
@@ -66,11 +62,6 @@ class HDF(_WeightAware):
     clairvoyant = True
     rates_stable = True  # density uses static weight / total work
 
-    def rates(self, view: ActiveView) -> np.ndarray:
-        density = self.weights_of(view) / view.work
-        order = np.lexsort((view.job_ids, -density))
-        return priority_waterfill(view.caps, order, view.m)
-
     def rates_array(self, t, m, job_ids, remaining, work, release, caps):
         density = self._weights_for(job_ids) / work
         order = np.lexsort((job_ids, -density))
@@ -82,12 +73,6 @@ class WSRPT(_WeightAware):
 
     name = "WSRPT"
     clairvoyant = True
-
-    def rates(self, view: ActiveView) -> np.ndarray:
-        remaining = np.maximum(view.remaining, 1e-300)
-        density = self.weights_of(view) / remaining
-        order = np.lexsort((view.job_ids, -density))
-        return priority_waterfill(view.caps, order, view.m)
 
     def rates_array(self, t, m, job_ids, remaining, work, release, caps):
         rem = np.maximum(remaining, 1e-300)
@@ -162,10 +147,6 @@ class WDrep(_DrepBase):
             p = w / w.sum()
             pick = int(self._rng.choice(unassigned, p=p))
         self._move([int(proc)], [pick], preempt=False)
-
-    def rates(self, view: ActiveView) -> np.ndarray:
-        assert self._assignment is not None
-        return _one_proc_rates(view, self._assignment)
 
     def rates_array(self, t, m, job_ids, remaining, work, release, caps):
         assert self._assignment is not None

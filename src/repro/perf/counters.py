@@ -3,10 +3,10 @@
 The counters answer the questions the hot-path optimizations raise:
 how often was the cached rate vector reused (``rate_hits`` vs
 ``rate_misses``), how many invariant checks were amortized away
-(``checks_run`` vs ``checks_skipped``), how many flowsim segments ran
-entirely on the flat SoA buffers without materializing an ActiveView
-(``view_reuses``; ``view_builds`` counts the views that were built for
-hooks/timers/object-path policies), how many unit steps the wsim
+(``checks_run`` vs ``checks_skipped``), how many flowsim segments took
+their rates off the flat SoA buffers without materializing an
+ActiveView (``view_reuses``, every segment; ``view_builds`` counts the
+views that were built for hooks and timers), how many unit steps the wsim
 event-horizon kernel skipped (``horizon_jumps`` / ``horizon_steps_saved``),
 how many runs fell off the kernel's dyadic-grid exactness contract and
 took the pure per-step path (``exactness_fallbacks``), what folded

@@ -268,9 +268,9 @@ def attach_dags_stream(
     work_unit: float = 1.0,
     name: str = "stream+dags",
 ) -> JobStream:
-    """Lazy per-job version of :func:`~repro.workloads.traces.attach_dags`.
+    """Attach DAGs to a stream of jobs, one spec at a time.
 
-    Draws from the same ``"dags"`` RNG stream in the same per-job order,
+    :func:`~repro.workloads.traces.attach_dags` is its materialized form,
     so attaching to a stream yields bit-for-bit the DAGs that
     ``attach_dags`` stamps on the materialized trace — the property the
     wsim streaming≡materialized equivalence rests on.  Memory is O(1):

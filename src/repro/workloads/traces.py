@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.job import JobSpec, ParallelismMode
-from repro.core.rng import RngFactory
 from repro.dag.generators import chain as chain_dag
 from repro.dag.generators import fork_join, spawn_tree
 from repro.dag.graph import DagJob
@@ -250,32 +249,22 @@ def attach_dags(
 
     Work is quantized to integer units of ``work_unit``; each job's spec is
     re-stamped with the realized DAG work and span so the flow-time
-    accounting of both simulators agrees on the same instance.
+    accounting of both simulators agrees on the same instance.  This is
+    the materialized form of
+    :func:`~repro.workloads.stream.attach_dags_stream` (same ``"dags"``
+    RNG stream, same job order), as :func:`generate_trace` is of
+    :func:`~repro.workloads.stream.generate_stream`.
     """
-    if work_unit <= 0:
-        raise ValueError("work_unit must be > 0")
-    rng = RngFactory(seed).stream("dags")
-    jobs = []
-    for j in trace.jobs:
-        units = max(1, int(round(j.work / work_unit)))
-        par = 1 if j.mode is ParallelismMode.SEQUENTIAL else parallelism
-        dag = dag_for_work(units, par, rng)
-        jobs.append(
-            JobSpec(
-                job_id=j.job_id,
-                release=j.release,
-                work=float(dag.work) * work_unit,
-                span=float(dag.span) * work_unit,
-                mode=ParallelismMode.DAG,
-                dag=dag,
-                weight=j.weight,
-            )
-        )
+    from repro.workloads.stream import attach_dags_stream
+
+    stream = attach_dags_stream(
+        trace.jobs, parallelism, seed=seed, work_unit=work_unit
+    )
     return Trace(
-        jobs=jobs,
+        jobs=list(stream),
         m=trace.m,
         load=trace.load,
         distribution=trace.distribution,
         name=trace.name + "+dags",
-        meta={**trace.meta, "parallelism": parallelism, "work_unit": work_unit},
+        meta={**trace.meta, **stream.meta},
     )

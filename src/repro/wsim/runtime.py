@@ -319,11 +319,6 @@ class WsRuntime:
         self._done_heap: list[tuple[int, float, float]] = []
         self._emit_next = 0
         # -- event-horizon kernel state ------------------------------------
-        #: DREP flags currently armed (maintained by :meth:`arm_flag`); a
-        #: fast veto for bulk jumps in "step" mode.  Only a hint — the
-        #: per-worker verify in :meth:`_horizon_jump` stays authoritative
-        #: (tests poke ``flag_target`` directly, bypassing the count).
-        self._flags_armed = 0
         self._flags_immediate = config.preempt_check == "step"
         #: bulk attempts are suppressed below this step (a completion is
         #: imminent, or a worker was in a transient non-batchable state);
@@ -871,7 +866,7 @@ class WsRuntime:
         if worker.job is not None:
             worker.job.workers -= 1
             worker.job = None
-        self.arm_flag(worker, None)
+        worker.flag_target = None
         worker.blocked_until = 0
 
     def _revive_worker(self, worker: Worker) -> None:
@@ -913,7 +908,7 @@ class WsRuntime:
             if worker.current is not None and worker.current[0] is job:
                 worker.current = None
             if worker.flag_target is job:
-                self.arm_flag(worker, None)
+                worker.flag_target = None
             dq = worker.dq
             if dq is not None and dq.nodes:
                 kept = [ref for ref in dq.nodes if ref[0] is not job]
@@ -990,28 +985,6 @@ class WsRuntime:
         self.scheduler.on_completion(job)
 
     # ------------------------------------------------------------------
-    # preemption flags
-    # ------------------------------------------------------------------
-
-    def arm_flag(self, worker: Worker, target: JobRun | None) -> None:
-        """Arm (or clear, with ``target=None``) a DREP preemption flag.
-
-        The single notification point for flag state: maintains the
-        armed-flag count the event-horizon kernel uses as a fast bulk
-        veto in ``preempt_check="step"`` mode.  Schedulers must route
-        flag writes through here (see ``WsScheduler.arm_flag``); direct
-        ``flag_target`` writes stay *correct* — the kernel's per-worker
-        verify is authoritative — but lose the fast veto.
-        """
-        had = worker.flag_target is not None
-        if target is not None:
-            if not had:
-                self._flags_armed += 1
-        elif had and self._flags_armed > 0:
-            self._flags_armed -= 1
-        worker.flag_target = target
-
-    # ------------------------------------------------------------------
     # event-horizon kernel
     # ------------------------------------------------------------------
 
@@ -1021,7 +994,8 @@ class WsRuntime:
         Classifies every live worker into one of three batchable states
         and advances all of them ``k`` steps in one update:
 
-        * **executing** — mid-node and unblocked: ``k`` subtractions
+        * **executing** — mid-node, unblocked and, where flags fire at
+          once (``preempt_check="step"``), unflagged: ``k`` subtractions
           collapse into one (grid-exact);
         * **blocked** — paying preemption overhead: ``k`` overhead steps
           are booked at once;
@@ -1050,9 +1024,6 @@ class WsRuntime:
             self._h_cooldown = step + 1
             return 0
         flags_immediate = self._flags_immediate
-        if flags_immediate and self._flags_armed:
-            self._h_cooldown = step + 1
-            return 0
         kmax = horizon - step
         rem = self._h_rem
         speeds = self._speed_list
@@ -1074,6 +1045,10 @@ class WsRuntime:
                 continue
             cur = w.current
             if cur is not None:
+                if flags_immediate and w.flag_target is not None:
+                    # the flag fires at this worker's next act, mid-node
+                    self._h_cooldown = step + 1
+                    return 0
                 if vec:
                     rem[n_exec] = cur[0].node_remaining[cur[1]]
                     if speeds is not None:
@@ -1224,7 +1199,7 @@ class WsRuntime:
         if worker.flag_target is None:
             return False
         if worker.flag_target.done:
-            self.arm_flag(worker, None)  # stale: target already finished
+            worker.flag_target = None  # stale: target already finished
             return False
         mode = self.config.preempt_check
         if mode == "step":
@@ -1239,7 +1214,7 @@ class WsRuntime:
             return  # paying preemption overhead
         if worker.flag_target is not None and self._flag_fires(worker):
             target = worker.flag_target
-            self.arm_flag(worker, None)
+            worker.flag_target = None
             self.switch_worker(worker, target, preempt=True)
             return
         if worker.current is None:

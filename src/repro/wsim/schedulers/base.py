@@ -96,20 +96,6 @@ class WsScheduler(abc.ABC):
     # shared helpers
     # ------------------------------------------------------------------
 
-    def arm_flag(self, worker: Worker, target: "JobRun | None") -> None:
-        """Arm (``target`` set) or clear (``None``) a preemption flag.
-
-        Contract: schedulers must notify flag state through this helper
-        (it delegates to :meth:`WsRuntime.arm_flag`) rather than writing
-        ``worker.flag_target`` directly, so the runtime's armed-flag
-        count stays accurate — the event-horizon kernel uses that count
-        as a fast bulk-jump veto when flags fire immediately
-        (``preempt_check="step"``).  A direct write is still *safe* (the
-        kernel re-verifies per worker before any jump) but forfeits the
-        fast veto.
-        """
-        self.rt.arm_flag(worker, target)
-
     def make_arrival_deque(self, job: JobRun) -> WsDeque:
         """Park a new job's source nodes on a muggable deque (affinity).
 

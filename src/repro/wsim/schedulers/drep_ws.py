@@ -50,10 +50,10 @@ class DrepWS(WsScheduler):
                 # an idle worker takes the new job immediately (it was idle
                 # only because the machine had drained)
                 rt.switch_worker(worker, job, preempt=False)
-                self.arm_flag(worker, None)
+                worker.flag_target = None
             elif worker.job is not job:
                 if self.rng.random() < 1.0 / n_active:
-                    self.arm_flag(worker, job)
+                    worker.flag_target = job
 
     def on_completion(self, job: JobRun) -> None:
         rt = self.rt
@@ -65,7 +65,7 @@ class DrepWS(WsScheduler):
                     rt.switch_worker(worker, pick, preempt=False)
                 else:
                     rt.switch_worker(worker, None, preempt=False)
-                self.arm_flag(worker, None)
+                worker.flag_target = None
 
     def steal_target(self, worker: Worker) -> JobRun | None:
         # mirrors out_of_work: a worker on an unfinished job only steals

@@ -154,10 +154,7 @@ class Worker:
     current: NodeRef | None = None
     #: DREP preemption flag: the job this worker must switch to, set by the
     #: master on an arrival (Sec. V-B) and honored per the configured
-    #: check granularity.  Write through ``WsRuntime.arm_flag`` (or the
-    #: ``WsScheduler.arm_flag`` helper) so the event-horizon kernel's
-    #: armed-flag count stays accurate; a direct write is safe but loses
-    #: the kernel's fast bulk-jump veto.
+    #: check granularity; schedulers assign it directly.
     flag_target: JobRun | None = None
     failed_steals: int = 0
     #: first step at which the worker may act again after paying

@@ -1,10 +1,6 @@
 """Fault injection composed with the SoA kernel and the pool runner.
 
-Faults exercise the engine paths the vectorized hot loop had to keep
-intact — mid-run capacity changes, job aborts (active-set removal), and
-resume re-insertion — so every plan kind is run through both the SoA
-path and the object path (the policy's vectorized hooks hidden) and must
-agree exactly.  The pool side
+A fault plan must actually fire on the SoA kernel's runs.  The pool side
 checks that `FaultPlan`s survive per-cell pickling: a resilience grid
 must produce the same rows whether the plans ride to a worker process
 or never leave the parent.
@@ -19,7 +15,6 @@ from repro.faults.plan import named_fault_plans
 from repro.flowsim.engine import simulate
 from repro.flowsim.policies import policy_by_name
 from repro.workloads.traces import generate_trace
-from tests.flowsim.paths import object_path
 
 
 @pytest.fixture(scope="module")
@@ -33,26 +28,7 @@ def plans(trace):
     return named_fault_plans(4, baseline.makespan, seed=17)
 
 
-def _record(result) -> dict:
-    return {
-        "flows": result.flow_times.tolist(),
-        "events": result.extra["events"],
-        "switches": result.extra["switches"],
-        "faults": dict(result.extra.get("faults", {})),
-    }
-
-
 class TestSoaPathUnderFaults:
-    @pytest.mark.parametrize("plan_name", ["rolling", "half-down", "random"])
-    @pytest.mark.parametrize("policy", ["srpt", "rr", "drep"])
-    def test_soa_equals_object_path(self, trace, plans, plan_name, policy):
-        plan = plans[plan_name]
-        soa = simulate(
-            trace, 4, policy_by_name(policy), seed=17, faults=plan
-        )
-        obj = simulate(trace, 4, object_path(policy), seed=17, faults=plan)
-        assert _record(soa) == _record(obj)
-
     def test_faults_actually_fired(self, trace, plans):
         result = simulate(
             trace, 4, policy_by_name("srpt"), seed=17, faults=plans["rolling"]

@@ -1,20 +1,18 @@
 """Force the flowsim engine onto one of its paths, by capability.
 
 The engine picks its paths from what a policy *class* overrides — the
-vectorized ``rates_array`` hook and its sparse ``rates_array_patch``
-complement, and their scalar twins ``rates_scalar`` /
-``rates_scalar_patch`` — and from the run itself: ``step()`` always
-handles one event, while ``drain()`` / ``advance_to()`` run their events
-in one pass and fold them where the run allows it, and a plain run of a
-policy with the scalar hooks runs on Python lists while it has at most
-``SCALAR_MAX_ACTIVE`` active jobs.  The equivalence suites use these
-helpers to run the remaining path of the same policy against the goldens
-and against the default run.
+sparse ``rates_array_patch`` complement of its ``rates_array``, and
+their scalar twins ``rates_scalar`` / ``rates_scalar_patch`` — and from
+the run itself: ``step()`` always handles one event, while ``drain()`` /
+``advance_to()`` run their events in one pass and fold them where the
+run allows it, and a plain run of a policy with the scalar hooks runs on
+Python lists while it has at most ``SCALAR_MAX_ACTIVE`` active jobs.
+The equivalence suites use these helpers to run the remaining path of
+the same policy against the goldens and against the default run.
 """
 
 from __future__ import annotations
 
-import types
 from contextlib import contextmanager
 
 import repro.flowsim.engine as engine
@@ -23,45 +21,22 @@ from repro.flowsim.policies import policy_by_name
 from repro.flowsim.policies.base import Policy
 
 
-def _hide(policy: Policy, **defaults) -> Policy:
-    """``policy`` re-classed as a subclass whose listed methods are the
-    :class:`Policy` defaults again."""
-    cls = type(policy)
-    policy.__class__ = type(cls.__name__, (cls,), defaults)
-    return policy
-
-
-def object_path(policy: Policy | str) -> Policy:
-    """``policy`` served through ``rates(view)``: the vectorized and the
-    scalar hooks reset to the :class:`Policy` defaults."""
-    if isinstance(policy, str):
-        policy = policy_by_name(policy)
-    twin = type(policy).rates_array
-    _hide(
-        policy,
-        rates_array=Policy.rates_array,
-        rates_array_patch=Policy.rates_array_patch,
-        rates_scalar=Policy.rates_scalar,
-        rates_scalar_patch=Policy.rates_scalar_patch,
-    )
-    # LAPS and DREP-par compute rates(view) by feeding the view's arrays
-    # to their own vectorized twin; keep it callable on the instance —
-    # the engine judges capability by class, so it still takes rates(view)
-    policy.rates_array = types.MethodType(twin, policy)
-    return policy
-
-
 def unpatched(policy: Policy | str) -> Policy:
     """``policy`` without ``rates_array_patch`` and ``rates_scalar_patch``:
     folded passes rebuild the rate vector in full at every decision
     point."""
     if isinstance(policy, str):
         policy = policy_by_name(policy)
-    return _hide(
-        policy,
-        rates_array_patch=Policy.rates_array_patch,
-        rates_scalar_patch=Policy.rates_scalar_patch,
+    cls = type(policy)
+    policy.__class__ = type(
+        cls.__name__,
+        (cls,),
+        {
+            "rates_array_patch": Policy.rates_array_patch,
+            "rates_scalar_patch": Policy.rates_scalar_patch,
+        },
     )
+    return policy
 
 
 #: ``scalar_max`` values: no run ever takes the scalar loop, or every run

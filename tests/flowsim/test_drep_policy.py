@@ -16,6 +16,7 @@ from repro.flowsim.policies.base import ActiveView
 from repro.flowsim.policies.drep import DrepParallel, DrepSequential
 from repro.workloads.traces import generate_trace
 from tests.conftest import make_trace
+from tests.flowsim.paths import ARRAY, SCALAR, scalar_max
 
 
 def view(t, m, ids, remaining, work, release, caps):
@@ -76,18 +77,39 @@ class TestSequentialRules:
         assert pol.processors_of(1).size == 1
 
     def test_rates_are_zero_or_one(self, small_random_trace):
-        # integral assignment: every job runs at rate exactly 0 or 1
-        pol = DrepSequential()
-        seen = {0.0, 1.0}
-        orig_rates = pol.rates
+        """Integral assignment: every job runs at rate exactly 0 or 1,
+        whichever hook the engine refreshes the rates through, on the
+        Python lists and on the numpy buffers."""
 
-        def spy(view):
-            r = orig_rates(view)
-            assert set(np.round(r, 12)) <= seen
-            return r
+        def run(force, hooks):
+            pol = DrepSequential()
+            fired = dict.fromkeys(hooks, 0)
 
-        pol.rates = spy  # type: ignore[assignment]
-        simulate(small_random_trace, 4, pol, seed=1)
+            def spy(name):
+                hook = getattr(pol, name)
+
+                def wrapped(*args):
+                    out = hook(*args)
+                    fired[name] += 1
+                    if name.endswith("_patch"):
+                        values = [val for _, val in out or ()]
+                    else:
+                        values = list(out)
+                    assert set(values) <= {0.0, 1.0}, (name, values)
+                    return out
+
+                return wrapped
+
+            for name in hooks:
+                setattr(pol, name, spy(name))
+            with scalar_max(force):
+                simulate(small_random_trace, 4, pol, seed=1)
+            return fired
+
+        lists = run(SCALAR, ("rates_scalar", "rates_scalar_patch"))
+        arrays = run(ARRAY, ("rates_array", "rates_array_patch"))
+        assert all(lists.values()), lists
+        assert all(arrays.values()), arrays
 
 
 class TestTheorem12Sequential:
@@ -125,7 +147,9 @@ class TestParallelRules:
         pol.reset(m=4, rng=np.random.default_rng(1))
         v = view(0.0, 4, [0], [4.0], [4.0], [0.0], [4.0])
         pol.on_arrival(0, v)
-        rates = pol.rates(v)
+        rates = pol.rates_array(
+            v.t, v.m, v.job_ids, v.remaining, v.work, v.release, v.caps
+        )
         assert rates[0] == pytest.approx(4.0)
 
     def test_completion_redraw_spreads_uniformly(self):

@@ -87,32 +87,32 @@ class TestPolicyValidation:
     class OverCommitted(Policy):
         name = "bad-total"
 
-        def rates(self, view: ActiveView) -> np.ndarray:
-            return np.full(view.n, view.m, dtype=float)
+        def rates_array(self, t, m, job_ids, remaining, work, release, caps):
+            return np.full(job_ids.size, m, dtype=float)
 
     class OverCap(Policy):
         name = "bad-cap"
 
-        def rates(self, view: ActiveView) -> np.ndarray:
-            return view.caps * 2.0
+        def rates_array(self, t, m, job_ids, remaining, work, release, caps):
+            return caps * 2.0
 
     class Negative(Policy):
         name = "bad-negative"
 
-        def rates(self, view: ActiveView) -> np.ndarray:
-            return np.full(view.n, -1.0)
+        def rates_array(self, t, m, job_ids, remaining, work, release, caps):
+            return np.full(job_ids.size, -1.0)
 
     class WrongShape(Policy):
         name = "bad-shape"
 
-        def rates(self, view: ActiveView) -> np.ndarray:
-            return np.zeros(view.n + 1)
+        def rates_array(self, t, m, job_ids, remaining, work, release, caps):
+            return np.zeros(job_ids.size + 1)
 
     class Lazy(Policy):
         name = "lazy"
 
-        def rates(self, view: ActiveView) -> np.ndarray:
-            return np.zeros(view.n)
+        def rates_array(self, t, m, job_ids, remaining, work, release, caps):
+            return np.zeros(job_ids.size)
 
     def test_total_overcommit_detected(self):
         trace = make_trace([1.0, 1.0])
@@ -152,9 +152,9 @@ class TestEventBudget:
 
         name = "zeno"
 
-        def rates(self, view: ActiveView) -> np.ndarray:
-            rates = np.zeros(view.n)
-            rates[0] = min(1.0, view.caps[0])
+        def rates_array(self, t, m, job_ids, remaining, work, release, caps):
+            rates = np.zeros(job_ids.size)
+            rates[0] = min(1.0, caps[0])
             return rates
 
         def next_timer(self, view: ActiveView) -> float | None:

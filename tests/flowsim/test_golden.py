@@ -28,7 +28,7 @@ import pytest
 
 from repro.flowsim.engine import FlowSimConfig, simulate
 from repro.flowsim.policies import policy_by_name
-from tests.flowsim.paths import ARRAY, SCALAR, full_record, object_path, scalar_max
+from tests.flowsim.paths import ARRAY, SCALAR, full_record, scalar_max
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 
@@ -124,43 +124,10 @@ def test_check_every_k_is_pure_validation(seq_trace, policy, k):
     assert json.loads(json.dumps(got)) == GOLDEN[f"seq/{policy}"]
 
 
-# -- the vectorized rates_array hook vs the object path --------------------
+# -- one event per call ---------------------------------------------------
 #
-# `object_path` hides a policy's vectorized hooks, so the engine serves it
-# through `rates(view)`.  Both paths must hit the same goldens
-# bit-for-bit: the hook is an execution strategy, never semantics.  Each
-# golden is also replayed one event per `step()` call, which never folds.
-
-
-@pytest.mark.parametrize("policy", gen_goldens.FLOW_SEQ_POLICIES)
-def test_sequential_object_path_bit_for_bit(seq_trace, policy):
-    got = gen_goldens.run_flow_case(seq_trace, 4, object_path(policy), seed=7)
-    assert json.loads(json.dumps(got)) == GOLDEN[f"seq/{policy}"]
-
-
-@pytest.mark.parametrize("policy", gen_goldens.FLOW_PAR_POLICIES)
-def test_parallel_object_path_bit_for_bit(par_trace, policy):
-    got = gen_goldens.run_flow_case(par_trace, 4, object_path(policy), seed=7)
-    assert json.loads(json.dumps(got)) == GOLDEN[f"par/{policy}"]
-
-
-def test_speed_augmented_object_path_bit_for_bit(seq_trace):
-    got = gen_goldens.run_flow_case(
-        seq_trace, 4, object_path("drep"), seed=7,
-        config=FlowSimConfig(speed=2.0),
-    )
-    assert json.loads(json.dumps(got)) == GOLDEN["seq/drep/speed2"]
-
-
-def test_profiled_object_path_bit_for_bit():
-    got = gen_goldens.run_flow_case(
-        gen_goldens.flow_profiled_trace(),
-        4,
-        object_path("srpt"),
-        seed=7,
-        config=FlowSimConfig(use_profiles=True),
-    )
-    assert json.loads(json.dumps(got)) == GOLDEN["profiled/srpt"]
+# Each golden is also replayed one event per `step()` call, which never
+# folds.
 
 
 @pytest.mark.parametrize("policy", gen_goldens.FLOW_SEQ_POLICIES)

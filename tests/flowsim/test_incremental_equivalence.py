@@ -14,8 +14,8 @@ cadences, fault plans, streaming chunkings, and folded versus one-event
 calls.
 
 The sibling file ``test_soa_equivalence`` pins the engine's other paths
-to each other (vectorized hook ≡ object path, folded ≡ one event per
-call, patched ≡ rebuilt rate vector); this one pins the O(log n)
+to each other (folded ≡ one event per call, patched ≡ rebuilt rate
+vector, Python lists ≡ numpy buffers); this one pins the O(log n)
 structures to all of them.
 """
 
@@ -34,7 +34,7 @@ from repro.flowsim.engine import FlowSimConfig, FlowStepper, simulate
 from repro.flowsim.policies import policy_by_name
 from repro.flowsim.stream import simulate_stream
 from repro.workloads.traces import Trace, generate_trace
-from tests.flowsim.paths import ARRAY, SCALAR, full_record, object_path, scalar_max
+from tests.flowsim.paths import ARRAY, SCALAR, full_record, scalar_max
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 _spec = importlib.util.spec_from_file_location(
@@ -250,18 +250,6 @@ def test_promoted_kernel_counters_pinned(policy):
     got["events"] = res.extra["events"]
     got["mean_flow"] = res.mean_flow
     assert got == PROMOTED_PINS[policy]
-
-
-def test_object_path_forces_dense_fallback():
-    """A policy without the vectorized hook has nothing for its order
-    spec to describe; the engine must stay on the object path, even at a
-    promotion threshold of 0, and not drift."""
-    trace = generate_trace(80, "bing", 0.7, 4, seed=11)
-    obj = simulate(trace, 4, object_path("srpt"), seed=11, config=INC)
-    perf = dict(obj.extra.get("perf", {}))
-    assert perf.get("order_ops", 0) == 0
-    dense = simulate(trace, 4, policy_by_name("srpt"), seed=11, config=DENSE)
-    assert obj.flow_times.tolist() == dense.flow_times.tolist()
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,8 +1,9 @@
 """Generic contract tests run against every registered flow-level policy.
 
 Any policy added to the registry automatically inherits these checks:
-rates respect caps and capacity, views are not mutated, runs are
-deterministic under a fixed seed, and every job finishes.
+``rates_array`` respects caps and capacity and leaves its inputs
+unchanged, runs are deterministic under a fixed seed, and every job
+finishes.
 """
 
 from __future__ import annotations
@@ -67,28 +68,33 @@ class TestPolicyContracts:
             assert f >= spec.lower_bound(3) * (1 - 1e-7) - 1e-9
 
     def test_view_not_mutated(self, name):
+        """``rates_array`` reads the engine's buffers without writing
+        them and returns a fresh vector within caps and capacity."""
         policy = policy_by_name(name)
         rng = np.random.default_rng(0)
         policy.reset(4, rng)
         if hasattr(policy, "set_weights"):
             policy.set_weights(np.ones(6))
-        ids = np.arange(4, dtype=np.int64)
-        remaining = np.array([3.0, 1.0, 2.0, 4.0])
-        caps = np.ones(4)
-        view = ActiveView(
-            t=0.0,
-            m=4,
-            job_ids=ids,
-            remaining=remaining.copy(),
+        fields = dict(
+            job_ids=np.arange(4, dtype=np.int64),
+            remaining=np.array([3.0, 1.0, 2.0, 4.0]),
             work=np.array([3.0, 1.0, 2.0, 4.0]),
             release=np.zeros(4),
-            caps=caps.copy(),
+            caps=np.ones(4),
         )
-        for j in ids:
+        view = ActiveView(
+            t=0.0, m=4, **{k: v.copy() for k, v in fields.items()}
+        )
+        for j in fields["job_ids"]:
             policy.on_arrival(int(j), view)
-        rates = policy.rates(view)
-        np.testing.assert_array_equal(view.remaining, remaining)
-        np.testing.assert_array_equal(view.caps, caps)
+        rates = policy.rates_array(
+            view.t, view.m, view.job_ids, view.remaining,
+            view.work, view.release, view.caps,
+        )
+        for key, value in fields.items():
+            np.testing.assert_array_equal(getattr(view, key), value)
+            assert not np.shares_memory(rates, getattr(view, key)), key
+        caps = fields["caps"]
         assert (rates >= -1e-12).all()
         assert (rates <= caps + 1e-9).all()
         assert rates.sum() <= 4 + 1e-9

@@ -1,18 +1,17 @@
 """Property tests: every path of the flowsim event loop agrees, always.
 
-The engine runs one event loop over flat structure-of-arrays buffers and
-picks its paths by capability and by call:
+The engine runs one event loop over flat structure-of-arrays buffers,
+feeds them to the policy's ``rates_array`` directly, and picks its paths
+by capability and by call:
 
-* policies implementing the vectorized ``rates_array`` hook are fed the
-  buffers directly; the rest go through ``rates(ActiveView)`` (the
-  object path);
 * ``drain()`` / ``advance_to()`` run their events in one pass unless a
   fault plan is attached, and fold them (reuse the rates across events)
-  where the run allows it (rates-stable policies with the hook, and no
-  timer or segment recording), while ``step()`` always handles one
-  event;
+  where the run allows it (rates-stable policies, and no timer or
+  segment recording), while ``step()`` always handles one event;
 * inside a folded pass, DREP-style policies patch the previous rate
-  vector through ``rates_array_patch`` instead of rebuilding it.
+  vector through ``rates_array_patch`` instead of rebuilding it;
+* plain runs of a policy with the scalar hooks run on Python lists while
+  the active set is small.
 
 ``tests/flowsim/paths.py`` forces each alternative — hiding a capability
 from the policy class, or driving the run one event per call.  These
@@ -36,12 +35,12 @@ from hypothesis import strategies as st
 from repro.core.job import JobSpec, ParallelismMode
 from repro.flowsim.engine import FlowSimConfig, FlowStepper, simulate
 from repro.flowsim.policies import policy_by_name
+from repro.flowsim.policies.base import Policy
 from repro.workloads.traces import Trace, generate_trace
 from tests.flowsim.paths import (
     ARRAY,
     SCALAR,
     full_record,
-    object_path,
     scalar_max,
     step_through,
     step_to,
@@ -56,11 +55,12 @@ _spec = importlib.util.spec_from_file_location(
 gen_goldens = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(gen_goldens)
 
-#: every policy implementing the vectorized hook, by mode it supports
-HOOK_POLICIES_SEQ = ["srpt", "sjf", "fifo", "rr", "laps", "drep", "hdf", "wsrpt", "wdrep"]
-HOOK_POLICIES_PAR = ["srpt", "swf", "rr", "laps", "drep-par"]
+#: the policies the backend comparison runs, by mode they support (the
+#: timer policies and random-np are pinned by their goldens)
+BACKEND_POLICIES_SEQ = ["srpt", "sjf", "fifo", "rr", "laps", "drep", "hdf", "wsrpt", "wdrep"]
+BACKEND_POLICIES_PAR = ["srpt", "swf", "rr", "laps", "drep-par"]
 
-#: every policy whose plain runs fold (``rates_stable`` plus the hook)
+#: every policy whose plain runs fold (``rates_stable``, no timer)
 FOLD_POLICIES_SEQ = ["fifo", "sjf", "rr", "laps", "drep", "hdf", "wdrep"]
 FOLD_POLICIES_PAR = ["rr", "laps", "drep-par"]
 
@@ -105,65 +105,20 @@ def _perf_of(result) -> dict:
     return dict(result.extra.get("perf", {}))
 
 
-# -- vectorized hook vs object path ----------------------------------------
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    inst=random_instance(),
-    policy_idx=st.integers(0, max(len(HOOK_POLICIES_SEQ), len(HOOK_POLICIES_PAR)) - 1),
-    seed=st.integers(0, 20),
-)
-def test_soa_path_equals_object_path(inst, policy_idx, seed):
-    trace, m, mode = inst
-    policy = _pick(HOOK_POLICIES_SEQ, HOOK_POLICIES_PAR, mode, policy_idx)
-    soa = gen_goldens.run_flow_case(trace, m, policy, seed=seed)
-    obj = gen_goldens.run_flow_case(trace, m, object_path(policy), seed=seed)
-    assert soa == obj
-
-
-@settings(max_examples=25, deadline=None)
-@given(inst=random_instance(), k=st.sampled_from([1, 7, 1000]))
-def test_soa_path_equals_object_path_under_check_k(inst, k):
-    """Amortized-check settings must not reintroduce path divergence."""
-    trace, m, mode = inst
-    config = FlowSimConfig(check_every_k=k)
-    soa = gen_goldens.run_flow_case(trace, m, "srpt", seed=5, config=config)
-    obj = gen_goldens.run_flow_case(
-        trace, m, object_path("srpt"), seed=5, config=config
-    )
-    assert soa == obj
-
-
 def test_vectorized_hook_actually_engages():
-    """A hook policy must run (mostly) without materializing views."""
+    """A run takes its rates off the flat buffers, materializing no view
+    for them."""
     trace = generate_trace(150, "finance", 0.7, 4, seed=11)
-    soa = simulate(trace, 4, policy_by_name("srpt"), seed=11)
-    obj = simulate(trace, 4, object_path("srpt"), seed=11)
-    perf_soa, perf_obj = _perf_of(soa), _perf_of(obj)
-    assert perf_soa.get("view_reuses", 0) > 0
-    assert perf_obj.get("view_reuses", 0) == 0  # object path always builds
-    assert perf_obj.get("view_builds", 0) > 0
-    # and the answers still agree exactly
-    assert soa.flow_times.tolist() == obj.flow_times.tolist()
-    assert soa.extra["events"] == obj.extra["events"]
+    perf = _perf_of(simulate(trace, 4, policy_by_name("srpt"), seed=11))
+    assert perf.get("view_reuses", 0) > 0
 
 
-def test_timer_policies_fall_back_cleanly():
-    """MLF/SETF/random-np have no hook: hiding it changes nothing, so
-    both runs take the object path and agree trivially (guards the
-    helper plumbing, not the math)."""
-    trace = generate_trace(80, "finance", 0.6, 4, seed=9)
-    for policy in ("mlf", "setf", "random-np"):
-        on = gen_goldens.run_flow_case(trace, 4, policy, seed=9)
-        off = gen_goldens.run_flow_case(trace, 4, object_path(policy), seed=9)
-        assert on == off, policy
+def test_policy_without_rates_array_cannot_be_built():
+    class NoRule(Policy):
+        name = "no-rule"
 
-
-def test_rates_array_default_raises():
-    base = policy_by_name("mlf")
-    with pytest.raises(NotImplementedError):
-        base.rates_array(0.0, 4, None, None, None, None, None)
+    with pytest.raises(TypeError):
+        NoRule()
 
 
 # -- folded passes vs one event per call -----------------------------------
@@ -194,25 +149,6 @@ def test_batched_equals_unit_under_check_k(inst, k):
     batched = gen_goldens.run_flow_case(trace, m, policy, seed=5, config=config)
     unit = gen_goldens.run_flow_case(
         trace, m, policy, seed=5, config=config, steps=True
-    )
-    assert batched == unit
-
-
-@settings(max_examples=20, deadline=None)
-@given(inst=random_instance(), seed=st.integers(0, 10))
-def test_batched_equals_unit_on_object_path(inst, seed):
-    """Without the vectorized hook a run must not fold — and not drift.
-
-    The object path has no ``rates_array`` surface for a folded pass to
-    run on, so ``drain()`` recomputes the rates at every event exactly
-    like a ``step()`` loop; any disagreement means folding leaks into
-    unrelated plumbing.
-    """
-    trace, m, mode = inst
-    policy = "drep" if mode is ParallelismMode.SEQUENTIAL else "drep-par"
-    batched = gen_goldens.run_flow_case(trace, m, object_path(policy), seed=seed)
-    unit = gen_goldens.run_flow_case(
-        trace, m, object_path(policy), seed=seed, steps=True
     )
     assert batched == unit
 
@@ -315,19 +251,12 @@ def test_batch_kernel_actually_engages():
 )
 def test_fold_rule(policy, config, folds):
     """Which runs fold is derived from the policy and the run: rates-stable
-    dense runs on the vectorized hook without timers or segment
-    recording, and promoted runs; everything else runs unfolded and
+    dense runs without timers or segment recording, and promoted runs; everything else runs unfolded and
     reports no fold counters (the benchmark pins both sides)."""
     trace = generate_trace(60, "finance", 0.7, 4, seed=5)
     perf = _perf_of(simulate(trace, 4, policy_by_name(policy), seed=5, config=config))
     assert (perf.get("batch_jumps", 0) > 0) is folds
     assert ("batch_events_folded" in perf) is folds
-
-
-def test_object_path_never_folds():
-    trace = generate_trace(60, "finance", 0.7, 4, seed=5)
-    perf = _perf_of(simulate(trace, 4, object_path("drep"), seed=5))
-    assert "batch_jumps" not in perf
 
 
 # -- unfolded passes vs one event per call ---------------------------------
@@ -342,7 +271,6 @@ UNFOLDED_RUNS = {
     "setf": (lambda: policy_by_name("setf"), FlowSimConfig()),
     "mlf": (lambda: policy_by_name("mlf"), FlowSimConfig()),
     "random-np": (lambda: policy_by_name("random-np"), FlowSimConfig()),
-    "srpt-object": (lambda: object_path("srpt"), FlowSimConfig()),
     "drep-segments": (
         lambda: policy_by_name("drep"),
         FlowSimConfig(record_segments=True),
@@ -467,16 +395,16 @@ def test_unpatched_policy_rebuilds():
 @settings(max_examples=60, deadline=None)
 @given(
     inst=random_instance(),
-    policy_idx=st.integers(0, max(len(HOOK_POLICIES_SEQ), len(HOOK_POLICIES_PAR)) - 1),
+    policy_idx=st.integers(0, max(len(BACKEND_POLICIES_SEQ), len(BACKEND_POLICIES_PAR)) - 1),
     seed=st.integers(0, 20),
     steps=st.booleans(),
 )
 def test_scalar_backend_equals_numpy_buffers(inst, policy_idx, seed, steps):
-    """Every hook policy, pinned to the Python lists (where the scalar
+    """Every listed policy, pinned to the Python lists (where the scalar
     backend serves it at all) or to the numpy buffers, reports the same
     flows, extras and perf counters — folded or one event per call."""
     trace, m, mode = inst
-    policy = _pick(HOOK_POLICIES_SEQ, HOOK_POLICIES_PAR, mode, policy_idx)
+    policy = _pick(BACKEND_POLICIES_SEQ, BACKEND_POLICIES_PAR, mode, policy_idx)
 
     def record(force):
         with scalar_max(force):

@@ -21,7 +21,7 @@ class TestFlowsimPluginErrors:
         class Exploding(Policy):
             name = "boom"
 
-            def rates(self, view: ActiveView) -> np.ndarray:
+            def rates_array(self, t, m, job_ids, remaining, work, release, caps):
                 raise RuntimeError("boom")
 
         with pytest.raises(RuntimeError, match="boom"):
@@ -31,8 +31,8 @@ class TestFlowsimPluginErrors:
         class NanRates(Policy):
             name = "nan"
 
-            def rates(self, view: ActiveView) -> np.ndarray:
-                return np.full(view.n, np.nan)
+            def rates_array(self, t, m, job_ids, remaining, work, release, caps):
+                return np.full(job_ids.size, np.nan)
 
         with pytest.raises(FlowSimError):
             simulate(make_trace([1.0]), 1, NanRates())
@@ -41,8 +41,8 @@ class TestFlowsimPluginErrors:
         class ZenoTimer(Policy):
             name = "zeno"
 
-            def rates(self, view: ActiveView) -> np.ndarray:
-                return np.zeros(view.n)  # never works...
+            def rates_array(self, t, m, job_ids, remaining, work, release, caps):
+                return np.zeros(job_ids.size)  # never works...
 
             def next_timer(self, view: ActiveView) -> float:
                 return view.t + 1e-12  # ...but always has a timer
@@ -54,9 +54,9 @@ class TestFlowsimPluginErrors:
         class IntRates(Policy):
             name = "intrates"
 
-            def rates(self, view: ActiveView) -> np.ndarray:
+            def rates_array(self, t, m, job_ids, remaining, work, release, caps):
                 # integer dtype is fine — the engine casts
-                return np.ones(view.n, dtype=np.int64)
+                return np.ones(job_ids.size, dtype=np.int64)
 
         r = simulate(make_trace([2.0]), 1, IntRates())
         assert r.flow_times[0] == pytest.approx(2.0)

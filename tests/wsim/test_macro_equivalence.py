@@ -18,11 +18,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.experiments import scale_trace
 from repro.core.job import JobSpec, ParallelismMode
 from repro.dag.generators import chain, fork_join, layered_random, spawn_tree
-from repro.workloads.traces import Trace
+from repro.workloads.traces import Trace, attach_dags, generate_trace
 from repro.wsim.runtime import WsConfig, WsRuntime
 from repro.wsim.schedulers import ws_scheduler_by_name
+from repro.wsim.schedulers.drep_ws import DrepWS
 
 SCHEDULERS = ["drep", "steal-first", "admit-first", "swf", "rr"]
 
@@ -109,6 +111,48 @@ def test_macro_equals_unit_immediate_flags(inst, seed):
     _assert_identical(
         trace, m, "drep", seed, config=WsConfig(preempt_check="step")
     )
+
+
+class _DirectFlagDrep(DrepWS):
+    """DREP-WS that flags workers by assigning ``flag_target``, as any
+    scheduler may."""
+
+    def on_arrival(self, job):
+        rt = self.rt
+        rt.active.append(job)
+        self.make_arrival_deque(job)
+        n_active = len(rt.active)
+        for worker in rt.up_workers():
+            if worker.job is None or worker.job.done:
+                rt.switch_worker(worker, job, preempt=False)
+                worker.flag_target = None
+            elif worker.job is not job and self.rng.random() < 1.0 / n_active:
+                worker.flag_target = job
+
+
+def test_mid_node_flag_vetoes_immediate_jumps():
+    """Under ``preempt_check="step"`` a flag on a mid-node worker fires
+    at its next act, so no bulk jump may step over it, however the flag
+    was written.  Fully parallel Finance cells: load 0.7, 60 jobs, m=4,
+    work x200, DAG parallelism 8."""
+    config = WsConfig(preempt_check="step")
+    for seed in range(8):
+        base = generate_trace(
+            60, "finance", 0.7, 4, mode=ParallelismMode.FULLY_PARALLEL,
+            seed=seed, scale_work_with_m=False,
+        )
+        trace = attach_dags(scale_trace(base, 200.0), parallelism=8, seed=seed)
+        bulk_rt, unit_rt = (
+            WsRuntime(trace, 4, _DirectFlagDrep(), seed=seed, config=config)
+            for _ in range(2)
+        )
+        bulk = bulk_rt.run()
+        unit = unit_rt.run(lambda _rt: None)
+        np.testing.assert_array_equal(bulk.flow_times, unit.flow_times)
+        assert dataclasses.asdict(bulk_rt.counters) == dataclasses.asdict(
+            unit_rt.counters
+        )
+        assert bulk_rt.perf.horizon_jumps > 0
 
 
 def test_horizon_path_actually_engages():
