@@ -202,13 +202,6 @@ class FlowSimConfig:
     equally-parallel assumption.  Breakpoints generate exact event times,
     so the simulation stays event-exact.
 
-    ``record_segments`` stores the piecewise-constant schedule itself:
-    the result's ``extra["segments"]`` becomes a list of
-    ``(t_start, t_end, {job_id: rate})`` tuples — every constant-rate
-    interval with its non-zero allocations.  Costs memory (one entry per
-    event); meant for schedule-shape verification and visualization, not
-    large sweeps.
-
     ``check_every_k`` amortizes the rate-invariant checks: the cap /
     total-capacity / negativity passes run on the first rate computation
     and every ``k``-th thereafter (the shape check is always on).  The
@@ -245,7 +238,6 @@ class FlowSimConfig:
     max_events: int | None = None
     speed: float = 1.0
     use_profiles: bool = False
-    record_segments: bool = False
     check_every_k: int = 32
     incremental_min_active: int = 1024
 
@@ -395,7 +387,6 @@ class FlowStepper:
         # iterations that ended parked at the caller's horizon: they count
         # as events but not against the Zeno budget (see _run)
         self._parked = 0
-        self._segments: list[tuple[float, float, dict[int, float]]] = []
         #: append-only ``(job_id, finish_time)`` log for observers
         self._completions: list[tuple[int, float]] = []
         self._weights_dirty = False
@@ -476,7 +467,6 @@ class FlowStepper:
         self._use_profiles = cfg.use_profiles
         # neither profiles nor faults: static caps, full machine, base speed
         self._plain = self.faults is None and not cfg.use_profiles
-        self._record_segments = cfg.record_segments
         self._update_next_rel()
         ptype = type(self.policy)
         self._has_arrival_hook = ptype.on_arrival is not Policy.on_arrival
@@ -499,15 +489,11 @@ class FlowStepper:
         )
         # a dense run folds — reuses its rates across a pass's events —
         # when nothing but arrivals and completions can happen: timers
-        # interleave events of their own and segment recording observes
-        # every segment.  The folded pass's sparse updates rest on the
-        # rates_stable contract (see Policy.rates_stable); fault plans
-        # rule folding out for every run (see _run).
-        self._fold_dense = (
-            self._rates_stable
-            and not self._has_timer
-            and not self._record_segments
-        )
+        # interleave events of their own.  The folded pass's sparse
+        # updates rest on the rates_stable contract (see
+        # Policy.rates_stable); fault plans rule folding out for every
+        # run (see _run).
+        self._fold_dense = self._rates_stable and not self._has_timer
         # the scalar backend serves plain runs of a policy whose scalar
         # hooks are the twins of the array hooks it would otherwise call:
         # defined by the same class, with a scalar patch exactly when
@@ -517,7 +503,6 @@ class FlowStepper:
         self._scalar_ok = (
             self._plain
             and not self._has_timer
-            and not self._record_segments
             and not hasattr(self.policy, "set_weights")
             and ptype.rates_scalar is not Policy.rates_scalar
             and _owner(ptype, "rates_scalar") is _owner(ptype, "rates_array")
@@ -543,9 +528,9 @@ class FlowStepper:
         # OrderSpec get their priority order maintained across events
         # instead of re-lexsorted per rate rebuild.  Profiles move caps
         # between events (the order alone no longer determines rates),
-        # timers need views anyway, segment recording wants the dense
-        # vector, and weighted policies fold a table the spec can't see
-        # — all of those stay dense.
+        # timers need views and the dense vector anyway, and weighted
+        # policies fold a table the spec can't see — all of those stay
+        # dense.
         spec = getattr(self.policy, "order_spec", None)
         self._inc: _IncrementalCore | None = None
         self._inc_spec = None
@@ -553,7 +538,6 @@ class FlowStepper:
             spec is not None
             and not self._has_timer
             and not self._use_profiles
-            and not self._record_segments
             and not hasattr(self.policy, "set_weights")
         ):
             self._inc_spec = spec
@@ -717,19 +701,9 @@ class FlowStepper:
         self._tol[r] = self.config.completion_tol * max(1.0, spec.work)
         self._flow[r] = np.nan
         self._specs.append(spec)
-        prof: ParallelismProfile | None = None
-        if (
-            self.config.use_profiles
-            and spec.mode is ParallelismMode.DAG
-            and spec.dag is not None
-        ):
-            base = ParallelismProfile.from_dag(spec.dag)
-            unit = spec.work / base.total_work
-            prof = ParallelismProfile(
-                work_breaks=base.work_breaks * unit,
-                parallelism=base.parallelism,
-            )
-        self._profiles.append(prof)
+        self._profiles.append(
+            self._profile_of(spec) if self.config.use_profiles else None
+        )
         self._n += 1
         self._max_events = 0  # budget scales with n; recompute lazily
         if self._next_arrival == j:
@@ -785,27 +759,31 @@ class FlowStepper:
         self._tol[r0:r1] = self.config.completion_tol * np.maximum(1.0, work)
         self._flow[r0:r1] = np.nan
         self._specs.extend(specs)
-        use_profiles = self.config.use_profiles
-        for spec in specs:
-            prof: ParallelismProfile | None = None
-            if (
-                use_profiles
-                and spec.mode is ParallelismMode.DAG
-                and spec.dag is not None
-            ):
-                base = ParallelismProfile.from_dag(spec.dag)
-                unit = spec.work / base.total_work
-                prof = ParallelismProfile(
-                    work_breaks=base.work_breaks * unit,
-                    parallelism=base.parallelism,
-                )
-            self._profiles.append(prof)
+        self._profiles.extend(
+            map(self._profile_of, specs)
+            if self.config.use_profiles
+            else [None] * n_new
+        )
         self._n = end
         self._max_events = 0  # budget scales with n; recompute lazily
         if self._next_arrival == n0:
             self._next_rel = float(rel[0])
         if hasattr(self.policy, "set_weights"):
             self._weights_dirty = True
+
+    @staticmethod
+    def _profile_of(spec: JobSpec) -> ParallelismProfile | None:
+        """The parallelism profile that caps a DAG job's rate under
+        ``use_profiles``, scaled to the job's work; ``None`` for a job
+        without a DAG."""
+        if spec.mode is not ParallelismMode.DAG or spec.dag is None:
+            return None
+        prof = ParallelismProfile.from_dag(spec.dag)
+        unit = spec.work / prof.total_work
+        return ParallelismProfile(
+            work_breaks=prof.work_breaks * unit,
+            parallelism=prof.parallelism,
+        )
 
     def _ensure_capacity(self, rows: int) -> None:
         """Grow the master columns to hold ``rows`` stored rows.
@@ -1140,17 +1118,17 @@ class FlowStepper:
         Independently of how far a pass runs, it *folds* — reuses its
         rates across events, patching them sparsely — only where nothing
         but arrivals and completions can interleave: promoted runs, and
-        rates-stable dense runs without timers or segment recording
-        (``_fold_dense``).  Every other pass recomputes the rates at each
-        event, and ``batch_*`` counts folded passes only.
+        rates-stable dense runs without timers (``_fold_dense``).  Every
+        other pass recomputes the rates at each event, and ``batch_*``
+        counts folded passes only.
 
         The iterations run on one of two representations of the active
         set, and one pass may switch between them at any iteration:
 
         * :meth:`_run_scalar` keeps it in Python lists and computes each
           event on Python floats through :meth:`Policy.rates_scalar`.  It
-          serves plain runs (no fault plan, profiles, segment recording,
-          timer or ``set_weights``) of a policy with that hook while at
+          serves plain runs (no fault plan, profiles, timer or
+          ``set_weights``) of a policy with that hook while at
           most :data:`SCALAR_MAX_ACTIVE` jobs are active: below that size
           numpy's per-call overhead dominates every array operation.  The
           lists outlive the call, so a run of :meth:`step` calls touches
@@ -1167,9 +1145,8 @@ class FlowStepper:
           :meth:`Policy.rates_array_patch` inside a folded pass), from
           :meth:`Policy.rates_array`, or — once promoted — from the order
           walk (:meth:`_inc_build_alloc`);
-        * the next completion comes from a finish-time scan (gathered to
-          the served entries when they are few, inside a folded pass) or
-          from the :class:`CompletionCalendar`;
+        * the next completion comes from a finish-time scan or from the
+          :class:`CompletionCalendar`;
         * finished jobs come from the ``rem <= tol`` mask or from the
           served set plus the dust set.
 
@@ -1334,8 +1311,11 @@ class FlowStepper:
         rate_calls = self._rate_calls
         c_miss = c_hit = c_run = c_skip = c_reuse = c_patch = 0
         folded = 0
-        # every completion scan of the pass after the first full one
-        # covers the served entries (see _run_array's ``fresh``)
+        # a pass starts from unknown state (a horizon-parked step may
+        # have admitted jobs without a completion scan), so its first
+        # completion scan and the first after each admission cover every
+        # entry; the others cover the served entries, off which nothing
+        # moved
         fresh = True
         views = 0
         ret = True
@@ -1554,6 +1534,13 @@ class FlowStepper:
         serves has shrunk to ``SCALAR_MAX_ACTIVE // 2``.  The pass owns
         the buffers: it takes over and drops the scalar loop's lists on
         entry.
+
+        A dense segment, folded or not, finds its length with one masked
+        divide over the whole active set and its finished jobs with one
+        ``rem <= tol`` mask; a promoted one reads the calendar and the
+        served set plus the dust set.  A timer policy's
+        :meth:`Policy.next_timer` gets the segment's rate vector along
+        with its view.
         """
         if self._lists is not None:
             self._sync_buffers()
@@ -1591,7 +1578,6 @@ class FlowStepper:
         has_completion = self._has_completion_hook
         has_timer = self._has_timer
         profiles = self._use_profiles
-        record = self._record_segments
         check_k = self._check_k
         admit_mul = 1.0 + _ADMIT_TOL
         a_ids = self._a_ids
@@ -1623,10 +1609,6 @@ class FlowStepper:
         rate_calls = self._rate_calls
         c_miss = c_hit = c_run = c_skip = c_reuse = c_patch = 0
         folded = 0
-        # a pass starts from unknown state (a horizon-parked step may have
-        # admitted jobs without a completion scan), so the first dense
-        # completion scan always covers the whole active set
-        fresh = True
         # ``vec``: the previous segment's rate vector, kept *structurally
         # aligned* with the active buffers across admissions/completions
         # so the policy's rates_array_patch can update it sparsely; None
@@ -1689,7 +1671,6 @@ class FlowStepper:
                             if has_arrival:
                                 policy.on_arrival(ja - 1, self._view(t, na))
                         cache = None
-                        fresh = True
                         if vec is not None:
                             # admissions append at the end (ids are handed
                             # out in sorted order) with rate 0 until the
@@ -1828,7 +1809,7 @@ class FlowStepper:
                 else:
                     rates, rsum = cur
                     if patch_fn is not None and rates is not vec:
-                        # a fresh array reached us (full rebuild, check
+                        # a new array reached us (full rebuild, check
                         # clip, or a cache carried over from an earlier
                         # call): copy it into the scratch so the shifts
                         # below can mutate it in place
@@ -1836,32 +1817,14 @@ class FlowStepper:
                         vec = vbuf[:na]
                     eff = rates * speed if speed != 1.0 else rates
                     served = eff > 0
-                    # where the served set is much smaller than the
-                    # active set (DREP gives out at most m processors),
-                    # a folded pass gathers the few served entries
-                    # instead of sweeping all na — bitwise the same,
-                    # since an eff == 0 entry is exactly unchanged by
-                    # the progress update (the rates_stable contract
-                    # rules out negative rates)
-                    sp = None
-                    if fold and na >= 32:
-                        s = served.nonzero()[0]
-                        if 4 * s.size <= na:
-                            sp = s
-                            ns = s.size
-                            eff_s = eff[sp]
-                    if sp is not None:
-                        dt = float(rmin(rem[sp] / eff_s)) if ns else _INF
-                    else:
-                        # finish time rem/eff where served, +inf where
-                        # idle: one masked divide into a persistent
-                        # scratch row
-                        finish = a_fin[:na]
-                        finish[:] = _INF
-                        np.divide(rem, eff, out=finish, where=served)
-                        dt = float(rmin(finish))
+                    # finish time rem/eff where served, +inf where idle:
+                    # one masked divide into a persistent scratch row
+                    finish = a_fin[:na]
+                    finish[:] = _INF
+                    np.divide(rem, eff, out=finish, where=served)
+                    dt = float(rmin(finish))
                     if has_timer:
-                        timer = policy.next_timer(self._view(t, na))
+                        timer = policy.next_timer(self._view(t, na), rates)
                         if timer is not None and timer > t:
                             dt_timer = float(timer) - t
                             if dt_timer < dt:
@@ -1919,17 +1882,10 @@ class FlowStepper:
                         if ns:
                             new_s = rem_s - eff_s * dt
                             rem[sp] = new_s
-                    elif sp is None:
+                    else:
                         rem -= eff * dt
-                    elif ns:
-                        rem[sp] -= eff_s * dt
                     # processor-time, not work
                     busy += rsum * dt
-                    if record:
-                        alloc = {
-                            int(j): float(r) for j, r in zip(ids, rates) if r > 0
-                        }
-                        self._segments.append((t, t + dt, alloc))
                     t += dt
                     if inc is not None and ns and inc.kind == "remaining":
                         # the decremented delta: re-key every served job
@@ -1957,13 +1913,8 @@ class FlowStepper:
                                 seen.add(p)
                         inc.dust.clear()
                         dpos.sort()
-                elif sp is not None and not fresh:
-                    # off the served set nothing moved since the last
-                    # full scan, so nothing there can have finished
-                    dpos = sp[rem[sp] <= a_tol[:na][sp]] if ns else sp
                 else:
                     dpos = (rem <= a_tol[:na]).nonzero()[0]
-                    fresh = False
                 n_done = len(dpos)
                 if n_done > 1 and inc is None and not has_completion:
                     # nobody to notify: compact every finished entry in
@@ -2286,18 +2237,6 @@ class FlowStepper:
         self.perf.events = self._events
         if self._inc is not None:
             self._inc_sync_perf()
-        fault_extra = {}
-        if self.faults is not None:
-            fault_extra["faults"] = {
-                "plan": self.faults.plan.name,
-                "points": self.faults.n_points,
-                "applied": self.faults.applied,
-                "lost_work": self._lost_work,
-                "displaced_work": self._displaced_work,
-                "requeues": [dict(e) for e in self._requeue_log],
-                "down_now": sorted(self.faults.down_procs()),
-                "log": [dict(e) for e in self._fault_log],
-            }
         return ScheduleResult(
             scheduler=self.policy.name,
             m=self.m,
@@ -2312,14 +2251,30 @@ class FlowStepper:
                 "events": self._events,
                 "switches": self.policy.switches,
                 "perf": self.perf.as_dict(),
-                **(
-                    {"segments": self._segments}
-                    if self.config.record_segments
-                    else {}
-                ),
-                **fault_extra,
+                **self._fault_extra(),
             },
         )
+
+    def _fault_extra(self) -> dict:
+        """A result's fault block: ``{"faults": {...}}`` with the plan,
+        the applied log and the work lost or displaced, or ``{}`` for a
+        run without a fault plan.  :meth:`result` and
+        :func:`repro.flowsim.simulate_stream` both report it."""
+        faults = self.faults
+        if faults is None:
+            return {}
+        return {
+            "faults": {
+                "plan": faults.plan.name,
+                "points": faults.n_points,
+                "applied": faults.applied,
+                "lost_work": self._lost_work,
+                "displaced_work": self._displaced_work,
+                "requeues": [dict(e) for e in self._requeue_log],
+                "down_now": sorted(faults.down_procs()),
+                "log": [dict(e) for e in self._fault_log],
+            }
+        }
 
     # -- checkpointing -----------------------------------------------------
 
@@ -2411,7 +2366,6 @@ class FlowStepper:
                 "max_events": self.config.max_events,
                 "speed": self.config.speed,
                 "use_profiles": self.config.use_profiles,
-                "record_segments": self.config.record_segments,
                 "check_every_k": self.config.check_every_k,
                 "incremental_min_active": self.config.incremental_min_active,
             },
@@ -2423,10 +2377,6 @@ class FlowStepper:
             "events": self._events,
             "parked": self._parked,
             "act_ids": self._a_ids[:na].tolist(),
-            "segments": [
-                [a, b, {str(k): v for k, v in alloc.items()}]
-                for a, b, alloc in self._segments
-            ],
             "jobs": [self._job_record(j) for j in live],
         }
 
@@ -2444,6 +2394,11 @@ class FlowStepper:
         what a checkpoint is meant to preserve).
         """
         cfg = _config_from_state(state["config"])
+        if state.get("segments"):
+            raise FlowSimError(
+                "checkpoint holds recorded schedule segments; the engine "
+                "no longer records them"
+            )
         n = int(state["n_jobs"])
         live = state["jobs"]
         if len(finished) != int(state["completed"]) or len(finished) + len(
@@ -2505,10 +2460,6 @@ class FlowStepper:
         stepper._completions = [
             (int(raw["job_id"]), float(raw["finish"])) for raw in finished
         ]
-        stepper._segments = [
-            (a, b, {int(k): v for k, v in alloc.items()})
-            for a, b, alloc in state["segments"]
-        ]
         if state.get("faults") is not None:
             from repro.faults.timeline import FaultTimeline
 
@@ -2540,21 +2491,27 @@ def _owner(cls: type, name: str) -> type | None:
     return None
 
 
-#: switches older snapshots carry: the engine always runs with them on
-#: (it picks its paths by capability), so ``True`` is the only value a
-#: checkpoint can still mean
-_RETIRED_CONFIG_KEYS = ("use_rates_array", "use_batch_horizon", "use_incremental")
+#: switches older snapshots carry, each with the one value a checkpoint
+#: can still mean: the engine always runs with the path switches on (it
+#: picks its paths by capability) and never records schedule segments
+_RETIRED_CONFIG_KEYS = {
+    "use_rates_array": True,
+    "use_batch_horizon": True,
+    "use_incremental": True,
+    "record_segments": False,
+}
 
 
 def _config_from_state(raw: dict) -> FlowSimConfig:
     """Rebuild a :class:`FlowSimConfig` from checkpointed plain data,
     raising :class:`FlowSimError` on anything it cannot mean."""
     raw = dict(raw)
-    for key in _RETIRED_CONFIG_KEYS:
-        if key in raw and raw.pop(key) is not True:
+    for key, value in _RETIRED_CONFIG_KEYS.items():
+        old = raw.pop(key, value)
+        if old is not value:
             raise FlowSimError(
-                f"checkpoint config sets the retired switch {key} off; "
-                "the engine only runs with it on"
+                f"checkpoint config sets the retired switch {key} to "
+                f"{old!r}; the engine only runs as if it were {value}"
             )
     unknown = sorted(set(raw) - {f.name for f in fields(FlowSimConfig)})
     if unknown:

@@ -157,13 +157,9 @@ class Policy(abc.ABC):
     #: the next arrival, and the arrivals themselves — into one pass over
     #: its flat buffers (``FlowStepper.drain`` / ``advance_to``).  A folded pass keeps the
     #: exact hook order, view contents and RNG draw sequence, so it adds
-    #: two requirements: the policy must not treat the *number* of engine
-    #: iterations as information (e.g. counting rate calls as a clock),
-    #: and :meth:`rates_array` must return nonnegative rates on
-    #: every call — not merely on the amortized ``check_every_k``
-    #: verification grid, since the pass's sparse updates skip zero-rate
-    #: entries that a negative rate would silently turn into (erroneous)
-    #: progress.  Every bundled ``rates_stable`` policy meets both.
+    #: one requirement: the policy must not treat the *number* of engine
+    #: iterations as information (e.g. counting rate calls as a clock).
+    #: Every bundled ``rates_stable`` policy meets it.
     rates_stable: bool = False
 
     #: **Incremental-order opt-in** (the flowsim order/calendar
@@ -304,8 +300,13 @@ class Policy(abc.ABC):
         """
         return None
 
-    def next_timer(self, view: ActiveView) -> float | None:
-        """Absolute time of the next policy-requested event, if any."""
+    def next_timer(self, view: ActiveView, rates: np.ndarray) -> float | None:
+        """Absolute time of the next policy-requested event, if any.
+
+        ``rates`` is the segment's rate vector, aligned with ``view``:
+        the :meth:`rates_array` result the engine runs the segment on,
+        so a timer need not compute it again.  Read-only.
+        """
         return None
 
     # -- practicality accounting ------------------------------------------

@@ -71,14 +71,10 @@ class MLF(Policy):
                 left = 0.0
         return rates
 
-    def next_timer(self, view: ActiveView) -> float | None:
+    def next_timer(self, view: ActiveView, rates: np.ndarray) -> float | None:
         """Fire when any served job crosses its next demotion threshold."""
         if view.n == 0:
             return None
-        rates = self.rates_array(
-            view.t, view.m, view.job_ids, view.remaining,
-            view.work, view.release, view.caps,
-        )
         att = view.attained
         levels = self._levels(att)
         best: float | None = None

@@ -68,7 +68,7 @@ class SETF(Policy):
                 left = 0.0
         return rates
 
-    def next_timer(self, view: ActiveView) -> float | None:
+    def next_timer(self, view: ActiveView, rates: np.ndarray) -> float | None:
         """Earliest time a faster-served level catches the one above it."""
         if view.n < 2:
             return None
@@ -76,10 +76,6 @@ class SETF(Policy):
         groups = self._levels(att)
         if len(groups) < 2:
             return None
-        rates = self.rates_array(
-            view.t, view.m, view.job_ids, view.remaining,
-            view.work, view.release, view.caps,
-        )
         best: float | None = None
         for g_lo, g_hi in zip(groups, groups[1:]):
             # conservative earliest crossing: fastest job below vs slowest

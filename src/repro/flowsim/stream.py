@@ -134,21 +134,6 @@ def simulate_stream(
     utilization = (
         stepper._busy_time / (stepper.now * m) if stepper.now > 0 else 0.0
     )
-    fault_extra = {}
-    if stepper.faults is not None:
-        # mirror the dense result's fault block exactly (see
-        # FlowStepper.result) so fault-injection goldens can compare the
-        # two paths key for key
-        fault_extra["faults"] = {
-            "plan": stepper.faults.plan.name,
-            "points": stepper.faults.n_points,
-            "applied": stepper.faults.applied,
-            "lost_work": stepper._lost_work,
-            "displaced_work": stepper._displaced_work,
-            "requeues": [dict(e) for e in stepper._requeue_log],
-            "down_now": sorted(stepper.faults.down_procs()),
-            "log": [dict(e) for e in stepper._fault_log],
-        }
     return StreamResult(
         scheduler=policy.name,
         m=m,
@@ -162,7 +147,8 @@ def simulate_stream(
             "switches": policy.switches,
             "streaming": True,
             "perf": stepper.perf.as_dict(),
-            **fault_extra,
+            # the dense result's fault block, key for key
+            **stepper._fault_extra(),
         },
     )
 

@@ -40,12 +40,12 @@ workers qualify, replays ``k`` unit steps in one update:
 
 * **executing** — mid-node, unblocked: ``k`` subtractions of ``speed``
   collapse to one ``k * speed`` subtraction.  The jump distance is the
-  min of remaining steps over these workers (an inline scalar min on
-  small machines, one array min over flat SoA buffers on large ones),
-  capped one step *before* the earliest node completion — the completing
-  step itself always runs through the normal per-step path, so
-  completions, child enabling, scheduler callbacks and their mid-step
-  interleaving are reproduced exactly;
+  min of remaining steps over these workers (an inline scalar min that
+  stops early once a completion is imminent), capped one step *before*
+  the earliest node completion — the completing step itself always runs
+  through the normal per-step path, so completions, child enabling,
+  scheduler callbacks and their mid-step interleaving are reproduced
+  exactly;
 * **blocked** — paying preemption overhead: ``k`` overhead steps become
   one counter bump, with the jump capped at the unblock step;
 * **steal-stuck** — out of work, where the scheduler's
@@ -329,14 +329,6 @@ class WsRuntime:
         #: bound ``scheduler.steal_target`` when overridden, else None;
         #: resolved per run so scheduler swaps stay safe
         self._steal_target = None
-        # SoA mirrors of live workers' hot state, filled at bulk entry so
-        # the jump distance is one array min instead of a Python reduce.
-        # Only worth it on big machines: below ~64 workers the fill
-        # dominates and an inline scalar min with a completion-imminent
-        # early-exit wins (measured; tests flip ``_h_vec`` to cover both)
-        self._h_rem = np.empty(m)
-        self._h_spd = np.empty(m)
-        self._h_vec = m >= 64
         # exactness contract (module docstring): bulk jumps need every
         # node weight — and speed, if heterogeneous — on the dyadic grid,
         # plus bounded total work so work_steps partial sums stay exact.
@@ -1025,10 +1017,7 @@ class WsRuntime:
             return 0
         flags_immediate = self._flags_immediate
         kmax = horizon - step
-        rem = self._h_rem
         speeds = self._speed_list
-        spd = self._h_spd
-        vec = self._h_vec
         steal_target = self._steal_target
         n_exec = 0
         n_stuck = 0
@@ -1049,16 +1038,10 @@ class WsRuntime:
                     # the flag fires at this worker's next act, mid-node
                     self._h_cooldown = step + 1
                     return 0
-                if vec:
-                    rem[n_exec] = cur[0].node_remaining[cur[1]]
-                    if speeds is not None:
-                        spd[n_exec] = speeds[w.wid]
-                    n_exec += 1
-                    continue
-                # scalar path: same float ops as the vectorized one
-                # (one division per worker, min, one ceil), so the two
-                # are bit-equivalent; the early-exit fires as soon as a
-                # completion within 2 steps dooms the attempt
+                # steps to this node's completion, as a float (one
+                # division, one ceil on the min below); the early exit
+                # fires as soon as a completion within 2 steps dooms the
+                # attempt
                 r = cur[0].node_remaining[cur[1]]
                 if speeds is not None:
                     r /= speeds[w.wid]
@@ -1121,11 +1104,6 @@ class WsRuntime:
             # true steps-to-completion (it can undershoot, which only
             # makes the jump conservative).  Last safe step is one
             # before the earliest completion.
-            if vec:
-                if speeds is None:
-                    rmin = rem[:n_exec].min()
-                else:
-                    rmin = (rem[:n_exec] / spd[:n_exec]).min()
             ke = math.ceil(rmin) - 1
             if ke < kmax:
                 kmax = ke

@@ -8,7 +8,8 @@ the run itself: ``step()`` always handles one event, while ``drain()`` /
 run allows it, and a plain run of a policy with the scalar hooks runs on
 Python lists while it has at most ``SCALAR_MAX_ACTIVE`` active jobs.
 The equivalence suites use these helpers to run the remaining path of
-the same policy against the goldens and against the default run.
+the same policy against the goldens and against the default run, and the
+schedule-shape tests read a run's schedule through :func:`schedule_of`.
 """
 
 from __future__ import annotations
@@ -89,3 +90,39 @@ def step_to(stepper: FlowStepper, horizon: float) -> None:
     while stepper.now * (1 + _ADMIT_TOL) < horizon:
         if not stepper.step(horizon):
             break
+
+
+def schedule_of(stepper: FlowStepper) -> list[tuple[float, float, dict]]:
+    """Drain ``stepper`` one event at a time and return its schedule.
+
+    The schedule is a list of ``(t_start, t_end, {job_id: rate})``
+    constant-rate segments, one per event that ran with jobs active;
+    each rate is the work a job received in the segment divided by its
+    length (speed 1, so a plain run's rate is the policy's).  Progress
+    is read from the outside, through :meth:`~FlowStepper.active_ids`,
+    :meth:`~FlowStepper.remaining_of` and the completion log: a job
+    admitted by the event starts from its full work, and one it
+    finished received all of what it had left.
+    """
+    specs = stepper.specs
+    before = {j: stepper.remaining_of(j) for j in stepper.active_ids()}
+    segments = []
+    while not stepper.drained:
+        t0 = stepper.now
+        n_done = len(stepper.completion_log)
+        stepper.step()
+        t1 = stepper.now
+        after = {j: stepper.remaining_of(j) for j in stepper.active_ids()}
+        finished = [j for j, _ in stepper.completion_log[n_done:]]
+        if t1 > t0 and (before or after or finished):
+            dt = t1 - t0
+            alloc = {}
+            for j, rem in after.items():
+                done = before.get(j, specs[j].work) - rem
+                if done > 0:
+                    alloc[j] = done / dt
+            for j in finished:
+                alloc[j] = before.get(j, specs[j].work) / dt
+            segments.append((t0, t1, alloc))
+        before = after
+    return segments

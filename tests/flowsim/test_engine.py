@@ -7,8 +7,9 @@ import pytest
 
 from repro.core.job import ParallelismMode
 from repro.flowsim.engine import FlowSimConfig, FlowSimError, simulate
-from repro.flowsim.policies import FIFO, RoundRobin, SRPT
+from repro.flowsim.policies import FIFO, MLF, SETF, RoundRobin, SRPT
 from repro.flowsim.policies.base import ActiveView, Policy
+from repro.workloads.traces import generate_trace
 from tests.conftest import make_trace
 
 
@@ -157,7 +158,7 @@ class TestEventBudget:
             rates[0] = min(1.0, caps[0])
             return rates
 
-        def next_timer(self, view: ActiveView) -> float | None:
+        def next_timer(self, view: ActiveView, rates) -> float | None:
             return view.t + 1e-12
 
     def test_default_matches_docstring(self):
@@ -195,6 +196,27 @@ class TestEventBudget:
                 policy=self.ZenoTimer(),
                 config=FlowSimConfig(max_events=5),
             )
+
+
+class TestTimerRates:
+    """A timer reads the segment's rate vector from the engine instead of
+    computing it again, so the policy's rate rule runs once per rate
+    computation the engine books."""
+
+    @pytest.mark.parametrize("make", [SETF, MLF], ids=["setf", "mlf"])
+    def test_rates_array_runs_once_per_rate_miss(self, make):
+        policy = make()
+        rule = policy.rates_array
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return rule(*args)
+
+        policy.rates_array = counted
+        trace = generate_trace(400, "finance", 0.7, 4, seed=3)
+        r = simulate(trace, 4, policy, seed=3)
+        assert r.extra["perf"]["rate_misses"] == len(calls) > 0
 
 
 class TestParkedIterations:

@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.flowsim.engine import FlowSimConfig, simulate
+from repro.flowsim.engine import FlowStepper, simulate
 from repro.flowsim.policies import DrepSequential, FIFO, SRPT
 from repro.flowsim.policies.random_np import RandomNonPreemptive
 from tests.conftest import make_trace
+from tests.flowsim.paths import schedule_of
 
 
 class TestNonPreemption:
@@ -18,25 +19,20 @@ class TestNonPreemption:
         trace = make_trace(
             [5.0, 1.0, 1.0, 1.0], releases=[0.0, 0.5, 1.0, 1.5]
         )
-        r = simulate(
-            trace,
-            1,
-            RandomNonPreemptive(),
-            seed=3,
-            config=FlowSimConfig(record_segments=True),
-        )
+        stepper = FlowStepper(1, RandomNonPreemptive(), seed=3)
+        stepper.add_jobs(list(trace.jobs))
+        segments = schedule_of(stepper)
+        r = stepper.result()
         served_spans: dict[int, list[float]] = {}
-        for t0, t1, alloc in r.extra["segments"]:
+        for t0, t1, alloc in segments:
             for j in alloc:
                 served_spans.setdefault(j, []).append(t0)
-        # contiguity: each job's service segments are back to back
+        # contiguity: served at rate 1 from its first segment on, a job
+        # that is never preempted finishes its work after that start
         for j, starts in served_spans.items():
-            flow = r.flow_times[j]
-            total_span = trace.jobs[j].work  # rate 1 service
-            assert flow == pytest.approx(
-                (max(starts) - min(starts)) + (total_span - (max(starts) - min(starts)))
-                + (min(starts) - trace.jobs[j].release),
-                rel=1e-6,
+            job = trace.jobs[j]
+            assert r.flow_times[j] == pytest.approx(
+                min(starts) + job.work - job.release, rel=1e-6
             )
 
     def test_all_jobs_finish(self, small_random_trace):

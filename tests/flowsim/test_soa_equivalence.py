@@ -6,8 +6,8 @@ by capability and by call:
 
 * ``drain()`` / ``advance_to()`` run their events in one pass unless a
   fault plan is attached, and fold them (reuse the rates across events)
-  where the run allows it (rates-stable policies, and no timer or
-  segment recording), while ``step()`` always handles one event;
+  where the run allows it (rates-stable policies, and no timer), while
+  ``step()`` always handles one event;
 * inside a folded pass, DREP-style policies patch the previous rate
   vector through ``rates_array_patch`` instead of rebuilding it;
 * plain runs of a policy with the scalar hooks run on Python lists while
@@ -242,7 +242,7 @@ def test_batch_kernel_actually_engages():
     [
         ("drep", FlowSimConfig(), True),
         ("rr", FlowSimConfig(), True),
-        ("drep", FlowSimConfig(record_segments=True), False),
+        ("drep", FlowSimConfig(use_profiles=True), False),
         ("srpt", FlowSimConfig(), False),
         ("srpt", FlowSimConfig(incremental_min_active=0), True),
         ("setf", FlowSimConfig(), False),
@@ -251,8 +251,9 @@ def test_batch_kernel_actually_engages():
 )
 def test_fold_rule(policy, config, folds):
     """Which runs fold is derived from the policy and the run: rates-stable
-    dense runs without timers or segment recording, and promoted runs; everything else runs unfolded and
-    reports no fold counters (the benchmark pins both sides)."""
+    dense runs without timers (parallelism profiles rule rates-stable
+    out), and promoted runs; everything else runs unfolded and reports no
+    fold counters (the benchmark pins both sides)."""
     trace = generate_trace(60, "finance", 0.7, 4, seed=5)
     perf = _perf_of(simulate(trace, 4, policy_by_name(policy), seed=5, config=config))
     assert (perf.get("batch_jumps", 0) > 0) is folds
@@ -271,10 +272,6 @@ UNFOLDED_RUNS = {
     "setf": (lambda: policy_by_name("setf"), FlowSimConfig()),
     "mlf": (lambda: policy_by_name("mlf"), FlowSimConfig()),
     "random-np": (lambda: policy_by_name("random-np"), FlowSimConfig()),
-    "drep-segments": (
-        lambda: policy_by_name("drep"),
-        FlowSimConfig(record_segments=True),
-    ),
     "srpt-profiles": (
         lambda: policy_by_name("srpt"),
         FlowSimConfig(use_profiles=True),
@@ -304,8 +301,8 @@ def unfolded_case(draw):
 def test_unfolded_passes_equal_unit_steps(case, horizons, seed):
     """Runs that do not fold still run each ``advance_to``/``drain`` as
     one pass; it must book exactly what one ``step()`` call per event
-    books: clock and counts at every horizon, flows, extras (segments
-    included), every perf counter and the policy's RNG state."""
+    books: clock and counts at every horizon, flows, extras, every perf
+    counter and the policy's RNG state."""
     run, trace, m = case
     make, config = UNFOLDED_RUNS[run]
 

@@ -44,7 +44,7 @@ class TestFlowsimPluginErrors:
             def rates_array(self, t, m, job_ids, remaining, work, release, caps):
                 return np.zeros(job_ids.size)  # never works...
 
-            def next_timer(self, view: ActiveView) -> float:
+            def next_timer(self, view: ActiveView, rates) -> float:
                 return view.t + 1e-12  # ...but always has a timer
 
         with pytest.raises(FlowSimError, match="events"):

@@ -155,9 +155,17 @@ class TestErrors:
 
 class TestRetiredEngineSwitches:
     """Snapshots written before the engine picked its paths by capability
-    carry three config switches the engine no longer has."""
+    carry config switches the engine no longer has, and those written
+    before it stopped recording schedule segments carry an empty
+    ``segments`` entry."""
 
-    RETIRED = ("use_rates_array", "use_batch_horizon", "use_incremental")
+    #: switch -> the one value a restorable snapshot carries for it
+    RETIRED = {
+        "use_rates_array": True,
+        "use_batch_horizon": True,
+        "use_incremental": True,
+        "record_segments": False,
+    }
 
     def _mid_run_state(self):
         trace = generate_trace(120, "finance", 0.7, 4, seed=21)
@@ -168,11 +176,13 @@ class TestRetiredEngineSwitches:
     def test_snapshot_no_longer_writes_them(self):
         _, state = self._mid_run_state()
         assert not set(self.RETIRED) & set(state["engine"]["config"])
+        assert "segments" not in state["engine"]
 
     def test_parent_format_restores_bit_for_bit(self):
         trace, state = self._mid_run_state()
         uninterrupted = simulate(trace, 4, DrepSequential(), seed=21)
-        state["engine"]["config"].update(dict.fromkeys(self.RETIRED, True))
+        state["engine"]["config"].update(self.RETIRED)
+        state["engine"]["segments"] = []
         result = stream_rest_and_drain(restore_scheduler(state), trace, 60)
         np.testing.assert_array_equal(
             result.flow_times, uninterrupted.flow_times
@@ -182,9 +192,16 @@ class TestRetiredEngineSwitches:
 
     @pytest.mark.parametrize("key", RETIRED)
     def test_switch_turned_off_rejected(self, key):
+        """A retired switch set to the value the engine no longer has."""
         _, state = self._mid_run_state()
-        state["engine"]["config"][key] = False
+        state["engine"]["config"][key] = not self.RETIRED[key]
         with pytest.raises(SnapshotError, match=key):
+            restore_scheduler(state)
+
+    def test_recorded_segments_rejected(self):
+        _, state = self._mid_run_state()
+        state["engine"]["segments"] = [[0.0, 1.0, {"0": 1.0}]]
+        with pytest.raises(SnapshotError, match="segments"):
             restore_scheduler(state)
 
     def test_unknown_config_key_rejected(self):

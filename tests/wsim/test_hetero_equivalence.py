@@ -6,9 +6,8 @@ tests cannot reach:
 * **dyadic speeds** — per-worker speeds on the exactness grid
   (powers of two), where the kernel's one-shot ``k * speed`` subtraction
   must reproduce ``k`` per-step subtractions exactly;
-* **the vectorized SoA min** — ``_h_vec`` normally engages only on
-  machines with >= 64 workers; tests flip it on small machines so both
-  the inline-scalar and the numpy reduction paths are exercised;
+* **large machines** — Finance-shaped DAG traces at m = 64 and 128,
+  where every jump takes the min over dozens of executing workers;
 * **the steal-target fast paths** — disabling the scheduler's
   ``steal_target`` hook (rebinding it to the base-class default) turns
   off both the batched stuck-steal replay *and* the run-loop's inline
@@ -27,12 +26,14 @@ import dataclasses
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.experiments import scale_trace
 from repro.core.job import JobSpec, ParallelismMode
 from repro.dag.generators import chain, fork_join, layered_random, spawn_tree
-from repro.workloads.traces import Trace
+from repro.workloads.traces import Trace, attach_dags, generate_trace
 from repro.wsim.runtime import WsRuntime
 from repro.wsim.schedulers import DrepWS, SwfApproxWS, ws_scheduler_by_name
 from repro.wsim.schedulers.base import WsScheduler
@@ -105,7 +106,6 @@ def _run(
     speeds,
     *,
     unit_stepped=False,
-    force_vec=False,
     no_hook=False,
 ):
     if no_hook:
@@ -113,8 +113,6 @@ def _run(
     else:
         scheduler = ws_scheduler_by_name(sched_name)
     rt = WsRuntime(trace, m, scheduler, seed=seed, speeds=speeds)
-    if force_vec:
-        rt._h_vec = True
     observer = (lambda _rt: None) if unit_stepped else None
     result = rt.run(observer)
     state = json.dumps(rt.rng.bit_generator.state, sort_keys=True, default=str)
@@ -143,7 +141,6 @@ def test_hetero_macro_equals_unit(inst, sched_idx, seed):
         [
             _run(trace, m, name, seed, speeds),
             _run(trace, m, name, seed, speeds, unit_stepped=True),
-            _run(trace, m, name, seed, speeds, force_vec=True),
         ]
     )
 
@@ -236,3 +233,36 @@ def test_off_grid_last_job_jumps_until_it_is_pulled():
     assert r_unit[3].horizon_jumps == 0
     assert r_unit[3].exactness_fallbacks == 1
     _assert_all_identical([r_macro, r_unit])
+
+
+def _finance_dag_trace(m: int) -> Trace:
+    """20 fully parallel Finance jobs at load 0.7, work x20000, each a DAG
+    of parallelism 2m: nodes long enough for jumps on a large machine."""
+    base = generate_trace(
+        20, "finance", 0.7, m, mode=ParallelismMode.FULLY_PARALLEL,
+        seed=m, scale_work_with_m=False,
+    )
+    return attach_dags(scale_trace(base, 20000.0), parallelism=2 * m, seed=m)
+
+
+@pytest.mark.parametrize("m", [64, 128])
+@pytest.mark.parametrize("sched_name", ["drep", "steal-first"])
+def test_large_machine_macro_equals_unit(sched_name, m):
+    trace = _finance_dag_trace(m)
+    bulk = _run(trace, m, sched_name, 5, None)
+    assert bulk[3].horizon_jumps > 0
+    _assert_all_identical(
+        [bulk, _run(trace, m, sched_name, 5, None, unit_stepped=True)]
+    )
+
+
+def test_large_machine_dyadic_speeds_macro_equals_unit():
+    m = 64
+    speeds = np.resize(np.array(DYADIC_SPEEDS), m)
+    trace = _finance_dag_trace(m)
+    bulk = _run(trace, m, "drep", 5, speeds)
+    assert bulk[3].horizon_jumps > 0
+    assert bulk[3].exactness_fallbacks == 0
+    _assert_all_identical(
+        [bulk, _run(trace, m, "drep", 5, speeds, unit_stepped=True)]
+    )
