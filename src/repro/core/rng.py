@@ -13,7 +13,8 @@ guarantees statistically independent child streams.
 
 :class:`DrawStream` wraps one such generator for callers that make
 hundreds of thousands of scalar draws (the work-stealing runtime's victim
-picks): same draws, same generator state, a fraction of the per-call cost.
+picks, flowsim DREP's coin flips and re-draws): same draws, same
+generator state, a fraction of the per-call cost.
 """
 
 from __future__ import annotations
@@ -106,8 +107,9 @@ class DrawStream:
     """A PCG64 :class:`numpy.random.Generator` with cheap scalar draws.
 
     Stands in for the generator it wraps.  Scalar ``integers(n)`` (an int
-    ``1 <= n < 2**32``; the result is a Python int) and scalar
-    ``random()`` are computed in Python from a prefetched block of raw
+    ``1 <= n < 2**32``; the result is a Python int), scalar ``random()``
+    and :meth:`random_list` (``random(k)`` as a list of Python floats)
+    are computed in Python from a prefetched block of raw
     64-bit words, with numpy's own algorithms: Lemire's rejection on
     32-bit halves, the upper half of each word buffered for the next
     draw exactly as the bit generator's ``has_uint32``/``uinteger`` pair
@@ -192,6 +194,21 @@ class DrawStream:
                 return (self._words.pop() >> 11) * _INV53
         self.sync()
         return self._gen.random(size, dtype, out)
+
+    def random_list(self, k: int) -> list[float]:
+        """``random(k).tolist()`` for an int ``k >= 0``: ``k`` whole words,
+        ``(word >> 11) * 2**-53`` each, the buffered half word left alone."""
+        words = self._words
+        cut = len(words) - k
+        if cut >= 0:
+            out = [(w >> 11) * _INV53 for w in reversed(words[cut:])]
+            del words[cut:]
+            return out
+        if not self._pcg:
+            return self._gen.random(k).tolist()
+        out = [(w >> 11) * _INV53 for w in reversed(words)]
+        self._fill()
+        return out + self.random_list(k - len(out))
 
     @property
     def bit_generator(self) -> np.random.BitGenerator:

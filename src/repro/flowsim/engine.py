@@ -134,10 +134,11 @@ class _ListView(ActiveView):
     completion hooks.
 
     It holds the loop's lists and builds a field's array the first time
-    the hook reads it, so a hook that reads only ``n`` (DREP's arrivals)
-    builds none and no hook makes the loop write the buffers.  A built
-    field is the array :meth:`FlowStepper._view` would give on the
-    buffers: aligned, ids ascending, same dtype and values.
+    the hook reads it, so a hook that reads only ``n`` or ``id_list``
+    (DREP's) builds none and no hook makes the loop write the buffers.
+    A built field is the array :meth:`FlowStepper._view` would give on
+    the buffers: aligned, ids ascending, same dtype and values.
+    ``id_list`` is the loop's own id list.
     """
 
     #: field -> (index into ``(ids, rem, caps, tol, work, rel)``, dtype)
@@ -155,6 +156,10 @@ class _ListView(ActiveView):
     @property
     def n(self) -> int:
         return len(self._lists[0])
+
+    @property
+    def id_list(self) -> list[int]:
+        return self._lists[0]
 
     def __getattr__(self, name: str):
         # reached only for a field not built yet: built ones, t, m and
@@ -656,8 +661,8 @@ class FlowStepper:
             raise KeyError(
                 f"job {job_id} was harvested (folded into streaming metrics)"
             )
-        f = float(self._flow[job_id - self._base])
-        return None if np.isnan(f) else f
+        f = self._flow.item(job_id - self._base)
+        return None if f != f else f  # NaN marks an unfinished job
 
     def backlog_work(self) -> float:
         """Total remaining work of admitted jobs plus work of pending ones."""

@@ -89,6 +89,11 @@ class ActiveView:
     them.  The arrays may *alias the engine's live buffers* and are only
     valid for the duration of the call that received them — a policy that
     needs data across calls must copy it.
+
+    :attr:`id_list` is ``job_ids`` as a list of Python ints, for hooks
+    that index or bisect the ids a few times: the engine's scalar loop
+    answers it from its own list without building an array.  The same
+    rules hold for it: read-only, and valid only during the call.
     """
 
     t: float
@@ -107,6 +112,11 @@ class ActiveView:
     @property
     def n(self) -> int:
         return int(self.job_ids.size)
+
+    @property
+    def id_list(self) -> list[int]:
+        """``job_ids`` as a list of ints, ascending; read-only."""
+        return self.job_ids.tolist()
 
     @property
     def attained(self) -> np.ndarray:

@@ -30,6 +30,7 @@ from functools import partial
 
 import numpy as np
 
+from repro.core.rng import DrawStream
 from repro.flowsim.policies.base import ActiveView, Policy
 
 __all__ = ["DrepSequential", "DrepParallel"]
@@ -38,9 +39,9 @@ _FREE = -1
 #: sentinel for a crashed processor (repro.faults); excluded from coin
 #: flips and re-draws until its ``recover`` event restores it to _FREE
 _DOWN = -2
-#: batches up to this size take one scalar numpy call per processor —
-#: table reads and stores, generator draws — since one vectorized call's
-#: fixed cost is about that of four scalar ones
+#: batches up to this size are booked one move at a time; a larger one
+#: is booked per job (:meth:`_DrepBase._move_by_job`), whose set and dict
+#: builds cost about what four per-move bookings do
 _SCALAR_MOVES = 4
 
 
@@ -56,31 +57,25 @@ def _served_positions(job_ids: np.ndarray, assigned: np.ndarray) -> np.ndarray:
     return pos[job_ids[pos] == assigned]
 
 
-def _unassigned_ids(job_ids: np.ndarray, assignment: np.ndarray) -> np.ndarray:
-    """Active job ids with no processor — ``setdiff1d`` without the sort.
+def _unassigned_ids(job_ids: list[int], procs_of: dict) -> list[int]:
+    """Active job ids with no processor, ascending.
 
-    Returns exactly what ``np.setdiff1d(job_ids, assignment)`` returns
-    (``job_ids`` is already sorted unique, so masking preserves order),
-    keeping the completion re-draw bit-for-bit identical.
+    ``procs_of`` is keyed by exactly the jobs that hold a processor, so
+    this is the list of what ``np.setdiff1d(job_ids, assignment)``
+    returns, keeping the completion re-draw bit-for-bit identical.
     """
-    if job_ids.size == 0:
-        return job_ids
-    assigned = assignment[assignment >= 0]
-    if assigned.size == 0:
-        return job_ids
-    keep = np.ones(job_ids.size, dtype=bool)
-    keep[_served_positions(job_ids, assigned)] = False
-    return job_ids[keep]
+    return [j for j in job_ids if j not in procs_of]
 
 
 def _one_proc_rates_arr(
-    job_ids: np.ndarray, caps: np.ndarray, assignment: np.ndarray
+    job_ids: np.ndarray, caps: np.ndarray, procs_of: dict
 ) -> np.ndarray:
-    """Rate vector when every assigned job holds exactly one processor."""
+    """Rate vector when every assigned job holds exactly one processor
+    (``procs_of`` keyed by the assigned jobs)."""
     n = job_ids.size
     rates = np.zeros(n, dtype=float)
-    assigned = assignment[assignment >= 0]
-    if assigned.size and n:
+    if procs_of and n:
+        assigned = np.fromiter(procs_of, np.int64, len(procs_of))
         pos = _served_positions(job_ids, assigned)
         rates[pos] = np.minimum(1.0, caps[pos])
     return rates
@@ -107,8 +102,9 @@ class _DrepBase(Policy):
         self.arrival_switch_prob = arrival_switch_prob
         if arrival_switch_prob is not None:
             self.name = f"DREP(p={arrival_switch_prob:g})"
-        self._assignment: np.ndarray | None = None
-        self._rng: np.random.Generator | None = None
+        #: the processor table: job id per processor, or _FREE / _DOWN
+        self._assignment: list[int] | None = None
+        self._rng: DrawStream | None = None
         self._preemptions = 0
         self._switches = 0
         self._migrations = 0
@@ -131,8 +127,9 @@ class _DrepBase(Policy):
         return 1.0 / n_active
 
     def reset(self, m: int, rng: np.random.Generator) -> None:
-        self._assignment = np.full(m, _FREE, dtype=np.int64)
-        self._rng = rng
+        self._assignment = [_FREE] * m
+        # every coin flip and re-draw is a scalar or short list draw
+        self._rng = DrawStream(rng)
         self._preemptions = 0
         self._switches = 0
         self._migrations = 0
@@ -170,7 +167,7 @@ class _DrepBase(Policy):
     def processors_of(self, job_id: int) -> np.ndarray:
         """Indices of processors currently assigned to ``job_id``."""
         assert self._assignment is not None
-        return (self._assignment == job_id).nonzero()[0]
+        return (np.array(self._assignment, dtype=np.int64) == job_id).nonzero()[0]
 
     def _move(self, procs: list[int], targets: list[int], preempt: bool) -> None:
         """Move processor ``procs[i]`` onto job ``targets[i]``, for each ``i``.
@@ -183,46 +180,42 @@ class _DrepBase(Policy):
         With ``preempt``, a move off anything but a free processor counts
         as a preemption.
 
-        The table is read and written once per processor through scalar
-        indexing for up to ``_SCALAR_MOVES`` processors, and once per
-        batch through an index array above that, where the bookkeeping
-        runs per job (:meth:`_move_by_job`) unless a target is also an
-        old owner.
+        A batch of more than ``_SCALAR_MOVES`` processors is booked per
+        job (:meth:`_move_by_job`) unless a target is also an old owner.
         """
         assignment = self._assignment
         if len(procs) == 1:
             # the common case (DrepSequential, faults, serving), kept as
-            # cheap as a plain scalar read and store
+            # cheap as a plain read and store
             proc = procs[0]
             new = targets[0]
-            moves = ((proc, int(assignment[proc]), new),)
+            moves = ((proc, assignment[proc], new),)
             assignment[proc] = new
-        elif len(procs) <= _SCALAR_MOVES:
-            moves = [(p, int(assignment[p]), t) for p, t in zip(procs, targets)]
+        else:
+            olds = [assignment[p] for p in procs]
+            if len(procs) > _SCALAR_MOVES:
+                jobs = set(targets)
+                if jobs.isdisjoint(olds):
+                    # every caller's batch: each target's processors, in
+                    # batch order, targets in order of first appearance
+                    if len(jobs) == 1:
+                        t = targets[0]
+                        for p in procs:
+                            assignment[p] = t
+                        gained = {t: list(procs)}
+                    else:
+                        gained = {}
+                        for p, t in zip(procs, targets):
+                            assignment[p] = t
+                            got = gained.get(t)
+                            if got is None:
+                                gained[t] = [p]
+                            else:
+                                got.append(p)
+                    self._move_by_job(procs, olds, gained, preempt)
+                    return
             for p, t in zip(procs, targets):
                 assignment[p] = t
-        else:
-            idx = np.array(procs)
-            olds = assignment[idx].tolist()
-            jobs = set(targets)
-            if jobs.isdisjoint(olds):
-                # every caller's batch: each target's processors, in
-                # batch order, targets in order of first appearance
-                if len(jobs) == 1:
-                    assignment[idx] = targets[0]
-                    gained = {targets[0]: list(procs)}
-                else:
-                    assignment[idx] = targets
-                    gained = {}
-                    for p, t in zip(procs, targets):
-                        got = gained.get(t)
-                        if got is None:
-                            gained[t] = [p]
-                        else:
-                            got.append(p)
-                self._move_by_job(procs, olds, gained, preempt)
-                return
-            assignment[idx] = targets
             moves = zip(procs, olds, targets)
         procs_of = self._procs_of
         dirty = self._rate_dirty
@@ -316,11 +309,8 @@ class _DrepBase(Policy):
             return []
         procs.sort()
         assignment = self._assignment
-        if len(procs) <= _SCALAR_MOVES:
-            for p in procs:
-                assignment[p] = _FREE
-        else:
-            assignment[procs] = _FREE
+        for p in procs:
+            assignment[p] = _FREE
         self._n_assigned -= len(procs)
         return procs
 
@@ -341,11 +331,12 @@ class _DrepBase(Policy):
         eviction — all fault-free runs included — are bit-for-bit stable.
         Slowdown events carry no assignment consequence and are ignored.
         """
-        assert self._assignment is not None
+        assignment = self._assignment
+        assert assignment is not None
         kind = event["kind"]
         if kind == "crash":
             proc = int(event["proc"])
-            evicted = int(self._assignment[proc])
+            evicted = assignment[proc]
             if evicted >= 0:
                 self._fault_evictions += 1
                 self._rate_dirty.add(evicted)
@@ -354,15 +345,14 @@ class _DrepBase(Policy):
                 if not held:
                     del self._procs_of[evicted]
                 self._n_assigned -= 1
-            self._assignment[proc] = _DOWN
+            assignment[proc] = _DOWN
             self._n_down += 1
             if evicted >= 0 and evicted not in self._procs_of:
-                free = (self._assignment == _FREE).nonzero()[0]
-                if free.size:
-                    self._move([int(free[0])], [evicted], preempt=False)
+                if _FREE in assignment:
+                    self._move([assignment.index(_FREE)], [evicted], preempt=False)
         elif kind == "recover":
             proc = int(event["proc"])
-            self._assignment[proc] = _FREE
+            assignment[proc] = _FREE
             self._n_down -= 1
             self._redraw_recovered(proc, view)
 
@@ -413,30 +403,28 @@ class DrepSequential(_DrepBase):
     name = "DREP"
 
     def on_arrival(self, job_id: int, view: ActiveView) -> None:
-        assert self._assignment is not None and self._rng is not None
-        if self._n_assigned + self._n_down < self._assignment.size:
-            # the lowest free processor takes the new job; no preemption.
-            # A list scan beats a numpy mask at the machine sizes served.
-            free = self._assignment.tolist().index(_FREE)
-            self._move([free], [job_id], preempt=False)
+        assignment = self._assignment
+        assert assignment is not None and self._rng is not None
+        if self._n_assigned + self._n_down < len(assignment):
+            # the lowest free processor takes the new job; no preemption
+            self._move([assignment.index(_FREE)], [job_id], preempt=False)
             return
         prob = self.arrival_switch_prob
         if prob is None:
             prob = 1.0 / view.n  # |A(t)| includes the new job
         if self._n_down:
-            # crashed processors flip no coins; the no-fault branch below
-            # is kept verbatim so fault-free runs stay bit-for-bit stable
-            up = (self._assignment != _DOWN).nonzero()[0]
-            flips = self._rng.random(up.size) < prob
-            winners = up[flips.nonzero()[0]]
+            # crashed processors flip no coins
+            up = [p for p, j in enumerate(assignment) if j != _DOWN]
+            flips = self._rng.random_list(len(up))
+            winners = [p for p, u in zip(up, flips) if u < prob]
         else:
-            flips = self._rng.random(self._assignment.size) < prob
-            winners = flips.nonzero()[0]
-        if winners.size == 0:
+            flips = self._rng.random_list(len(assignment))
+            winners = [p for p, u in enumerate(flips) if u < prob]
+        if not winners:
             return  # job waits in the unassigned queue
         # tie-break: exactly one of the coin winners switches (Sec. III,
         # "breaking ties arbitrarily to give the job at most one processor")
-        proc = int(winners[self._rng.integers(winners.size)])
+        proc = winners[self._rng.index(len(winners))]
         self._move([proc], [job_id], preempt=True)
 
     def on_completion(self, job_id: int, view: ActiveView) -> None:
@@ -445,43 +433,41 @@ class DrepSequential(_DrepBase):
         if not freed:
             return
         (proc,) = freed  # a sequential job holds at most one processor
-        job_ids = view.job_ids
+        job_ids = view.id_list
         procs_of = self._procs_of
-        n_held = len(procs_of)
-        k = int(job_ids.size) - n_held
+        k = len(job_ids) - len(procs_of)
         if k == 0:
             return  # processor stays free
         # uniform draw from the unassigned queue by order statistics: the
         # k-th active id skipping the (at most m) assigned positions —
-        # same draw as materializing the unassigned array and indexing
-        # it, without the O(n) mask/gather per event.  ``_procs_of`` keys
-        # are exactly the assigned jobs (each holds one processor, and a
-        # held job is always active), so one binary-search pass finds
-        # their positions without scanning the processor table.
-        idx = int(self._rng.integers(k))
-        if n_held:
-            held = job_ids.searchsorted(np.fromiter(procs_of, np.int64, n_held))
-            for p in sorted(held.tolist()):
+        # same draw as materializing the unassigned list and indexing
+        # it, without the O(n) filter per event.  ``_procs_of`` keys are
+        # exactly the assigned jobs (each holds one processor, and a held
+        # job is always active), so a binary search per key finds their
+        # positions without scanning the processor table.
+        idx = self._rng.index(k)
+        if procs_of:
+            for p in sorted([bisect_left(job_ids, j) for j in procs_of]):
                 if p <= idx:
                     idx += 1
                 else:
                     break
-        self._move([proc], [int(job_ids[idx])], preempt=False)
+        self._move([proc], [job_ids[idx]], preempt=False)
 
     def _redraw_recovered(self, proc: int, view: ActiveView) -> None:
         # same rule as a processor freed by a completion: draw uniformly
         # from the unassigned queue, stay free when there is none
         assert self._assignment is not None and self._rng is not None
-        unassigned = _unassigned_ids(view.job_ids, self._assignment)
-        if unassigned.size:
-            pick = int(unassigned[self._rng.integers(unassigned.size)])
+        unassigned = _unassigned_ids(view.id_list, self._procs_of)
+        if unassigned:
+            pick = unassigned[self._rng.index(len(unassigned))]
             self._move([int(proc)], [pick], preempt=False)
 
     def rates_array(self, t, m, job_ids, remaining, work, release, caps):
         assert self._assignment is not None
         self._rate_dirty.clear()
         # sequential DREP gives each job at most one processor
-        return _one_proc_rates_arr(job_ids, caps, self._assignment)
+        return _one_proc_rates_arr(job_ids, caps, self._procs_of)
 
     def rates_scalar(self, t, m, job_ids, remaining, work, release, caps):
         assert self._assignment is not None
@@ -503,21 +489,22 @@ class DrepParallel(_DrepBase):
     name = "DREP"
 
     def on_arrival(self, job_id: int, view: ActiveView) -> None:
-        assert self._assignment is not None and self._rng is not None
         assignment = self._assignment
+        assert assignment is not None and self._rng is not None
         # the busy processors flip their coins, in ascending order, in one
         # draw; idle processors exist only when the machine was empty, and
         # they all join the newcomer (work stealing spreads them
         # internally) — as moves off a free processor, no preemptions
-        busy = (assignment >= 0).nonzero()[0]
-        busy = busy[assignment[busy] != job_id]
         grant = []
-        if self._n_assigned + self._n_down < assignment.size:
-            grant = (assignment == _FREE).nonzero()[0].tolist()
-        if busy.size:
-            n_active = view.n  # includes the new job
-            flips = self._rng.random(busy.size) < self._switch_prob(n_active)
-            grant += busy[flips].tolist()
+        if self._n_assigned + self._n_down < len(assignment):
+            grant = [p for p, j in enumerate(assignment) if j == _FREE]
+        busy = []
+        if self._n_assigned:
+            busy = [p for p, j in enumerate(assignment) if j >= 0 and j != job_id]
+        if busy:
+            prob = self._switch_prob(view.n)  # |A(t)| includes the new job
+            flips = self._rng.random_list(len(busy))
+            grant += [p for p, u in zip(busy, flips) if u < prob]
         if grant:
             self._move(grant, [job_id] * len(grant), preempt=True)
 
@@ -535,29 +522,26 @@ class DrepParallel(_DrepBase):
             self._move([int(proc)], self._draw_jobs(view, 1), preempt=False)
 
     def _draw_jobs(self, view: ActiveView, k: int) -> list[int]:
-        """``k`` uniform draws over the active jobs.
-
-        Above ``_SCALAR_MOVES`` draws, one ``integers(n, size=k)`` call
-        yields the values, and leaves the generator in the state, of
-        ``k`` scalar ``integers(n)`` calls (tests/wsim/test_rng_draws.py
-        pins this); ``integers(1)`` consumes no state, so a lone active
-        job needs no call at all.
+        """``k`` uniform draws over the active jobs: ``k`` scalar
+        ``integers(n)`` draws, which equal one ``integers(n, size=k)``
+        call in values and end state (tests/wsim/test_rng_draws.py pins
+        this); ``integers(1)`` consumes no state, so a lone active job
+        needs no draw at all.
         """
-        job_ids = view.job_ids
-        n = job_ids.size
+        job_ids = view.id_list
+        n = len(job_ids)
         if n == 1:
-            return [int(job_ids[0])] * k
-        rng = self._rng
-        if k <= _SCALAR_MOVES:
-            return [int(job_ids[rng.integers(n)]) for _ in range(k)]
-        return job_ids[rng.integers(n, size=k)].tolist()
+            return [job_ids[0]] * k
+        index = self._rng.index
+        return [job_ids[index(n)] for _ in range(k)]
 
     def rates_array(self, t, m, job_ids, remaining, work, release, caps):
         assert self._assignment is not None
         self._rate_dirty.clear()
         n = job_ids.size
         rates = np.zeros(n, dtype=float)
-        assigned = self._assignment[self._assignment >= 0]
+        assignment = np.array(self._assignment, dtype=np.int64)
+        assigned = assignment[assignment >= 0]
         if assigned.size == 0 or n == 0:
             return rates
         # per-job processor counts in one bincount pass; ids outside the

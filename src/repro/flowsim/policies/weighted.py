@@ -103,10 +103,10 @@ class WDrep(_DrepBase):
         return float(self._weights[job_id])
 
     def on_arrival(self, job_id: int, view: ActiveView) -> None:
-        assert self._assignment is not None and self._rng is not None
-        free = np.flatnonzero(self._assignment == _FREE)
-        if free.size:
-            self._move([int(free[0])], [job_id], preempt=False)
+        assignment = self._assignment
+        assert assignment is not None and self._rng is not None
+        if self._n_assigned + self._n_down < len(assignment):
+            self._move([assignment.index(_FREE)], [job_id], preempt=False)
             return
         if self._weights is None:
             total = float(view.n)
@@ -116,14 +116,15 @@ class WDrep(_DrepBase):
             share = self._weight(job_id) / total
         if self._n_down:
             # crashed processors flip no coins (as in DrepSequential)
-            up = np.flatnonzero(self._assignment != _DOWN)
-            winners = up[np.flatnonzero(self._rng.random(up.size) < share)]
+            up = [p for p, j in enumerate(assignment) if j != _DOWN]
+            flips = self._rng.random_list(len(up))
+            winners = [p for p, u in zip(up, flips) if u < share]
         else:
-            flips = self._rng.random(self._assignment.size) < share
-            winners = np.flatnonzero(flips)
-        if winners.size == 0:
+            flips = self._rng.random_list(len(assignment))
+            winners = [p for p, u in enumerate(flips) if u < share]
+        if not winners:
             return
-        proc = int(winners[self._rng.integers(winners.size)])
+        proc = winners[self._rng.index(len(winners))]
         self._move([proc], [job_id], preempt=True)
 
     def on_completion(self, job_id: int, view: ActiveView) -> None:
@@ -137,18 +138,20 @@ class WDrep(_DrepBase):
         a processor (a completion's rule, and a recovery's); it stays
         free when there is none."""
         assert self._assignment is not None and self._rng is not None
-        unassigned = _unassigned_ids(view.job_ids, self._assignment)
-        if unassigned.size == 0:
+        unassigned = _unassigned_ids(view.id_list, self._procs_of)
+        if not unassigned:
             return
         if self._weights is None:
-            pick = int(unassigned[self._rng.integers(unassigned.size)])
+            pick = unassigned[self._rng.index(len(unassigned))]
         else:
-            w = self._weights[unassigned]
+            ids = np.array(unassigned, dtype=np.int64)
+            w = self._weights[ids]
             p = w / w.sum()
-            pick = int(self._rng.choice(unassigned, p=p))
+            # a sized draw: the stream syncs the generator and delegates
+            pick = int(self._rng.choice(ids, p=p))
         self._move([int(proc)], [pick], preempt=False)
 
     def rates_array(self, t, m, job_ids, remaining, work, release, caps):
         assert self._assignment is not None
         self._rate_dirty.clear()
-        return _one_proc_rates_arr(job_ids, caps, self._assignment)
+        return _one_proc_rates_arr(job_ids, caps, self._procs_of)

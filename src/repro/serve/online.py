@@ -25,12 +25,7 @@ from dataclasses import dataclass
 from repro.autoscale.controller import AutoscaleController
 from repro.autoscale.guard import AutoscaleConfig
 from repro.autoscale.loop import push_capacity_change
-from repro.core.job import (
-    JobSpec,
-    ParallelismMode,
-    check_job_fields,
-    default_span,
-)
+from repro.core.job import JobSpec, ParallelismMode, default_span
 from repro.core.metrics import ScheduleResult
 from repro.flowsim.engine import FlowSimConfig, FlowStepper
 from repro.flowsim.policies.base import Policy
@@ -39,6 +34,9 @@ from repro.serve.metrics import RollingMetrics
 from repro.serve.tenancy import MultiTenantAdmission
 
 __all__ = ["OnlineScheduler", "SubmitOutcome"]
+
+#: mode string -> mode, a dict lookup instead of an Enum call per submit
+_MODE_OF = {mode.value: mode for mode in ParallelismMode}
 
 
 @dataclass(frozen=True)
@@ -278,15 +276,23 @@ class OnlineScheduler:
         per-tenant drained report; ``None`` keeps the single-tenant
         behavior exactly.  Fields :class:`JobSpec` would refuse raise
         ``ValueError`` before the job counts as offered or reaches
-        admission.
+        admission: the spec is built first, and its constructor makes
+        the one check.
         """
         if isinstance(mode, str):
-            mode = ParallelismMode(mode)
+            mode = _MODE_OF.get(mode) or ParallelismMode(mode)
         if release is None:
             release = self.now
         if span is None:
             span = default_span(work, mode, self.m)
-        check_job_fields(release, work, span, mode, weight)
+        spec = JobSpec(
+            job_id=self._stepper.n_jobs,
+            release=release,
+            work=work,
+            span=span,
+            mode=mode,
+            weight=weight,
+        )
         self._offered += 1
         decision = AdmissionDecision.ACCEPT
         backpressure = 0.0
@@ -313,14 +319,6 @@ class OnlineScheduler:
             if self.metrics is not None:
                 self.metrics.on_shed(release, tenant=tenant)
             return SubmitOutcome(None, decision, backpressure)
-        spec = JobSpec(
-            job_id=self._stepper.n_jobs,
-            release=release,
-            work=work,
-            span=span,
-            mode=mode,
-            weight=weight,
-        )
         job_id = self._stepper.add_job(spec)
         self._tenant_of.append(tenant)
         if self._controller is not None:
@@ -467,13 +465,15 @@ class OnlineScheduler:
         return self._stepper.result(partial=partial and not self.drained)
 
     def _pump_completions(self) -> None:
-        if self.metrics is None and not isinstance(
-            self.admission, MultiTenantAdmission
+        log = self._stepper.completion_log
+        if len(log) == self._pumped or (
+            self.metrics is None
+            and not isinstance(self.admission, MultiTenantAdmission)
         ):
             return
-        log = self._stepper.completion_log
+        flow_time_of = self._stepper.flow_time_of
         for job_id, finish in log[self._pumped :]:
-            flow = self._stepper.flow_time_of(job_id)
+            flow = flow_time_of(job_id)
             assert flow is not None
             tenant = self._tenant_of[job_id]
             if self.metrics is not None:

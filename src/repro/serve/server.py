@@ -458,12 +458,13 @@ class SchedulerServer:
         else:
             release = self.scheduler.now
         fields["release"] = float(release)
-        # write-ahead: the *resolved* request hits the journal before the
-        # engine, so a crash between the two replays it on recovery
-        entry = {"op": "submit", **fields}
-        if fields["tenant"] is None:
-            del entry["tenant"]
-        self._journal_append(entry)
+        if self._journal is not None:
+            # write-ahead: the *resolved* request hits the journal before
+            # the engine, so a crash between the two replays it on recovery
+            entry = {"op": "submit", **fields}
+            if fields["tenant"] is None:
+                del entry["tenant"]
+            self._journal.append(entry)
         outcome = self.scheduler.submit(**fields)
         self._journal_rotate()
         return {

@@ -24,10 +24,13 @@ and every record inlined.
 Policy state is captured generically by encoding the policy's
 ``__dict__`` with a small tagged codec that understands the types
 scheduler policies actually hold: numpy arrays, numpy random generators
-(via ``bit_generator.state``), sets, tuples and int-keyed dicts.
-Restore instantiates the policy class fresh (zero-argument) and replays
-the captured attributes, so any policy in :mod:`repro.flowsim.policies`
-round-trips without bespoke serialization code.
+and :class:`~repro.core.rng.DrawStream` wrappers (via the synced
+``bit_generator.state``), sets, tuples and int-keyed dicts.  Restore
+instantiates the policy class fresh (zero-argument) and replays the
+captured attributes, so any policy in :mod:`repro.flowsim.policies`
+round-trips without bespoke serialization code.  DREP state written
+before DREP's processor table became a list (an int64 array, with a
+plain generator) is brought up to date on restore.
 
 Jobs carrying explicit DAG objects are not snapshottable (the engine
 refuses); the serving layer only creates scalar work/span jobs.
@@ -41,8 +44,10 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.rng import DrawStream
 from repro.flowsim.engine import FlowSimError, FlowStepper
 from repro.flowsim.policies.base import Policy
+from repro.flowsim.policies.drep import _DrepBase
 from repro.serve.admission import AdmissionController
 from repro.serve.metrics import RollingMetrics
 from repro.serve.online import OnlineScheduler
@@ -77,6 +82,8 @@ def _encode(value):
         return {"__ndarray__": value.tolist(), "dtype": str(value.dtype)}
     if isinstance(value, np.random.Generator):
         return {"__rng__": value.bit_generator.state}
+    if isinstance(value, DrawStream):
+        return {"__draws__": value.bit_generator.state}
     if isinstance(value, set):
         return {"__set__": [_encode(v) for v in sorted(value)]}
     if isinstance(value, tuple):
@@ -97,11 +104,9 @@ def _decode(value):
         if "__ndarray__" in value:
             return np.array(value["__ndarray__"], dtype=value["dtype"])
         if "__rng__" in value:
-            state = value["__rng__"]
-            bitgen_cls = getattr(np.random, state["bit_generator"])
-            gen = np.random.Generator(bitgen_cls())
-            gen.bit_generator.state = state
-            return gen
+            return _generator(value["__rng__"])
+        if "__draws__" in value:
+            return DrawStream(_generator(value["__draws__"]))
         if "__set__" in value:
             return {_decode(v) for v in value["__set__"]}
         if "__tuple__" in value:
@@ -110,6 +115,13 @@ def _decode(value):
             return {_decode(k): _decode(v) for k, v in value["__map__"]}
         raise SnapshotError(f"unrecognized tagged value: {sorted(value)}")
     return value
+
+
+def _generator(state: dict) -> np.random.Generator:
+    bitgen_cls = getattr(np.random, state["bit_generator"])
+    gen = np.random.Generator(bitgen_cls())
+    gen.bit_generator.state = state
+    return gen
 
 
 def _encode_policy(policy: Policy) -> dict:
@@ -134,6 +146,12 @@ def _decode_policy(data: dict) -> Policy:
     policy = obj()
     for key, value in data["attrs"].items():
         setattr(policy, key, _decode(value))
+    if isinstance(policy, _DrepBase):
+        # the earlier form: an int64 table and a plain generator
+        if isinstance(policy._assignment, np.ndarray):
+            policy._assignment = policy._assignment.tolist()
+        if isinstance(policy._rng, np.random.Generator):
+            policy._rng = DrawStream(policy._rng)
     return policy
 
 

@@ -116,6 +116,12 @@ _call = st.one_of(
     st.tuples(st.just("integers"), _bound, st.booleans()),
     st.tuples(st.just("random")),
     st.tuples(st.just("random_k"), st.integers(0, 5)),
+    # k doubles as a list; up to past one 256-word block, so a call
+    # crosses a block boundary
+    st.tuples(
+        st.just("random_list"),
+        st.one_of(st.integers(0, 20), st.sampled_from([255, 256, 257, 300])),
+    ),
     st.tuples(st.just("integers_k"), st.integers(1, 50), st.integers(0, 5)),
     st.tuples(
         st.just("integers_array"),
@@ -137,6 +143,10 @@ def _apply(gen, call):
     if kind == "random":
         return gen.random()
     if kind == "random_k":
+        return gen.random(call[1]).tolist()
+    if kind == "random_list":
+        if isinstance(gen, DrawStream):
+            return gen.random_list(call[1])
         return gen.random(call[1]).tolist()
     if kind == "integers_k":
         return gen.integers(call[1], size=call[2]).tolist()
@@ -175,6 +185,27 @@ class TestDrawStream:
             else:
                 n = bounds[i % len(bounds)]
                 assert stream.index(n) == int(plain.integers(n))
+        assert stream.bit_generator.state == plain.bit_generator.state
+
+    def test_random_list_crosses_blocks_between_other_draws(self):
+        # list draws of every size around the block length, interleaved
+        # with bounded draws (which buffer a half word), scalar and sized
+        # random, and state reads that sync the stream
+        stream = DrawStream(np.random.default_rng(13))
+        plain = np.random.default_rng(13)
+        sizes = [0, 1, 3, 255, 256, 257, 700, 16]
+        for i in range(400):
+            k = sizes[i % len(sizes)]
+            got = stream.random_list(k)
+            assert type(got) is list and len(got) == k
+            assert got == plain.random(k).tolist()
+            assert stream.index(5 + i % 7) == int(plain.integers(5 + i % 7))
+            if i % 5 == 0:
+                assert stream.random() == plain.random()
+            if i % 11 == 0:
+                assert stream.random(3).tolist() == plain.random(3).tolist()
+            if i % 13 == 0:
+                assert stream.bit_generator.state == plain.bit_generator.state
         assert stream.bit_generator.state == plain.bit_generator.state
 
     def test_sync_keeps_the_consumed_upper_half(self):
@@ -233,6 +264,7 @@ class TestDrawStream:
         for n in (2, 7, 1000):
             assert stream.index(n) == int(plain.integers(n))
             assert stream.random() == plain.random()
+            assert stream.random_list(n) == plain.random(n).tolist()
         got = stream.bit_generator.state["state"]
         want = plain.bit_generator.state["state"]
         assert got["pos"] == want["pos"]

@@ -2,12 +2,15 @@
 
 The shipped policies (:mod:`repro.flowsim.policies.drep` and
 :class:`~repro.flowsim.policies.weighted.WDrep`) move every processor an
-event touches in one pass: one table store, one bulk re-draw.  The
-classes below restore the earlier form — one ``_assign`` call and one
-scalar ``integers(n)`` draw per processor — verbatim, on top of the
-shipped classes, so the equivalence tests can hold the batched rule to
-it: same flows, counters, assignment table, ``_procs_of`` order,
-``_last_proc`` and generator state.
+event touches in one pass, and draw through a prefetching
+:class:`~repro.core.rng.DrawStream`.  The classes below restore the
+earlier form on top of the shipped classes — one ``_assign`` call per
+processor, numpy masks over the processor table, and every draw one
+call on the engine's plain ``Generator`` (sized ``random(k)`` coin
+flips, one scalar ``integers(n)`` per re-draw) — so the equivalence
+tests can hold the batched rule and the stream to it: same flows,
+counters, assignment table, ``_procs_of`` order, ``_last_proc`` and
+generator state.
 
 ``OracleWDrep`` keeps the earlier WDREP exactly too, which had no
 recovery re-draw and flipped coins on crashed processors; compare it on
@@ -24,13 +27,26 @@ from repro.flowsim.policies.drep import (
     _FREE,
     DrepParallel,
     DrepSequential,
-    _unassigned_ids,
 )
 from repro.flowsim.policies.weighted import WDrep
 
 
+def _unassigned(job_ids: np.ndarray, assignment: list[int]) -> np.ndarray:
+    """Active job ids with no processor, by definition."""
+    return np.setdiff1d(job_ids, np.array(assignment, dtype=np.int64))
+
+
 class _PerProcessorMoves:
-    """``_assign``, ``_release_procs_of`` and ``on_fault`` as they were."""
+    """``_assign``, ``_release_procs_of`` and ``on_fault`` as they were,
+    drawing from the plain generator the engine hands ``reset``."""
+
+    def reset(self, m: int, rng: np.random.Generator) -> None:
+        super().reset(m, rng)
+        self._rng = rng
+
+    def _table(self) -> np.ndarray:
+        """The processor table as an array, for the numpy masks."""
+        return np.array(self._assignment, dtype=np.int64)
 
     def _assign(self, proc: int, job_id: int, preempt: bool) -> None:
         """Move processor ``proc`` onto ``job_id``, updating counters."""
@@ -96,7 +112,7 @@ class _PerProcessorMoves:
             self._assignment[proc] = _DOWN
             self._n_down += 1
             if evicted >= 0 and evicted not in self._procs_of:
-                free = (self._assignment == _FREE).nonzero()[0]
+                free = (self._table() == _FREE).nonzero()[0]
                 if free.size:
                     self._assign(int(free[0]), evicted, preempt=False)
         elif kind == "recover":
@@ -109,20 +125,21 @@ class _PerProcessorMoves:
 class OracleDrepSequential(_PerProcessorMoves, DrepSequential):
     def on_arrival(self, job_id: int, view: ActiveView) -> None:
         assert self._assignment is not None and self._rng is not None
-        if self._n_assigned + self._n_down < self._assignment.size:
+        table = self._table()
+        if self._n_assigned + self._n_down < table.size:
             # a free processor takes the new job; no preemption
-            free = (self._assignment == _FREE).nonzero()[0]
+            free = (table == _FREE).nonzero()[0]
             self._assign(int(free[0]), job_id, preempt=False)
             return
         prob = self.arrival_switch_prob
         if prob is None:
             prob = 1.0 / view.n  # |A(t)| includes the new job
         if self._n_down:
-            up = (self._assignment != _DOWN).nonzero()[0]
+            up = (table != _DOWN).nonzero()[0]
             flips = self._rng.random(up.size) < prob
             winners = up[flips.nonzero()[0]]
         else:
-            flips = self._rng.random(self._assignment.size) < prob
+            flips = self._rng.random(table.size) < prob
             winners = flips.nonzero()[0]
         if winners.size == 0:
             return  # job waits in the unassigned queue
@@ -161,7 +178,7 @@ class OracleDrepSequential(_PerProcessorMoves, DrepSequential):
 
     def _redraw_recovered(self, proc: int, view: ActiveView) -> None:
         assert self._assignment is not None and self._rng is not None
-        unassigned = _unassigned_ids(view.job_ids, self._assignment)
+        unassigned = _unassigned(view.job_ids, self._assignment)
         if unassigned.size:
             pick = int(unassigned[self._rng.integers(unassigned.size)])
             self._assign(int(proc), pick, preempt=False)
@@ -170,12 +187,13 @@ class OracleDrepSequential(_PerProcessorMoves, DrepSequential):
 class OracleDrepParallel(_PerProcessorMoves, DrepParallel):
     def on_arrival(self, job_id: int, view: ActiveView) -> None:
         assert self._assignment is not None and self._rng is not None
-        if self._n_assigned + self._n_down < self._assignment.size:
-            free = (self._assignment == _FREE).nonzero()[0]
+        if self._n_assigned + self._n_down < len(self._assignment):
+            free = (self._table() == _FREE).nonzero()[0]
             for proc in free:
                 self._assign(int(proc), job_id, preempt=False)
-        busy = (self._assignment >= 0).nonzero()[0]
-        busy = busy[self._assignment[busy] != job_id]
+        table = self._table()
+        busy = (table >= 0).nonzero()[0]
+        busy = busy[table[busy] != job_id]
         if busy.size == 0:
             return
         n_active = view.n  # includes the new job
@@ -202,7 +220,7 @@ class OracleDrepParallel(_PerProcessorMoves, DrepParallel):
 class OracleWDrep(_PerProcessorMoves, WDrep):
     def on_arrival(self, job_id: int, view: ActiveView) -> None:
         assert self._assignment is not None and self._rng is not None
-        free = np.flatnonzero(self._assignment == _FREE)
+        free = np.flatnonzero(self._table() == _FREE)
         if free.size:
             self._assign(int(free[0]), job_id, preempt=False)
             return
@@ -212,7 +230,7 @@ class OracleWDrep(_PerProcessorMoves, WDrep):
         else:
             total = float(self._weights[view.job_ids].sum())
             share = self._weight(job_id) / total
-        flips = self._rng.random(self._assignment.size) < share
+        flips = self._rng.random(len(self._assignment)) < share
         winners = np.flatnonzero(flips)
         if winners.size == 0:
             return
@@ -223,7 +241,7 @@ class OracleWDrep(_PerProcessorMoves, WDrep):
         assert self._assignment is not None and self._rng is not None
         freed = self._release_procs_of(job_id)
         for proc in freed:
-            unassigned = _unassigned_ids(view.job_ids, self._assignment)
+            unassigned = _unassigned(view.job_ids, self._assignment)
             if unassigned.size == 0:
                 continue
             if self._weights is None:

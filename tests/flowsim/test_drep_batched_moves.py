@@ -1,9 +1,10 @@
 """The batched DREP move rule ≡ the per-processor one, bit for bit.
 
 DrepSequential, DrepParallel and WDREP move every processor an arrival or
-a completion touches in one pass (``_DrepBase._move``), and DrepParallel
-re-draws its freed processors with one ``integers(n, size=k)`` call.
-``tests/flowsim/drep_oracle.py`` keeps the earlier per-processor form.
+a completion touches in one pass (``_DrepBase._move``) on a list table,
+and draw every coin flip and re-draw through a prefetching
+:class:`~repro.core.rng.DrawStream`.  ``tests/flowsim/drep_oracle.py``
+keeps the earlier per-processor form, drawing from the plain generator.
 Both must agree on the flows, every counter and extra, and the policy's
 whole state after every hook call: the assignment table, ``_procs_of``
 (list and key order included), ``_last_proc`` and the generator state —
@@ -14,6 +15,7 @@ the online scheduler with a mid-run snapshot.
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
@@ -47,14 +49,18 @@ SWITCH_PROBS = [None, 0.25, 1.0]
 
 
 def policy_state(policy) -> dict:
+    """The policy's whole state.  The generator state is read from a
+    copy, so a shipped policy's draw stream is not synced by the check
+    and keeps drawing from its prefetched words across hooks."""
+    rng = copy.deepcopy(policy._rng)
     return {
         "fault_evictions": policy.fault_evictions,
-        "assignment": policy._assignment.tolist(),
+        "assignment": list(policy._assignment),
         "procs_of": [(j, list(procs)) for j, procs in policy._procs_of.items()],
         "last_proc": [(j, sorted(seen)) for j, seen in policy._last_proc.items()],
         "n_assigned": policy._n_assigned,
         "n_down": policy._n_down,
-        "rng": json.dumps(policy._rng.bit_generator.state, default=str),
+        "rng": json.dumps(rng.bit_generator.state, default=str),
     }
 
 

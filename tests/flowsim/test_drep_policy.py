@@ -71,7 +71,7 @@ class TestSequentialRules:
         pol.on_arrival(0, v1)
         # job 1 arrives, coin may or may not fire; force known state:
         # complete job 0 with job 1 active and unassigned
-        pol._assignment[:] = 0
+        pol._assignment[:] = [0] * len(pol._assignment)
         v2 = view(1.0, 1, [1], [1.0], [1.0], [0.5], [1.0])
         pol.on_completion(0, v2)
         assert pol.processors_of(1).size == 1
@@ -158,7 +158,7 @@ class TestParallelRules:
         v0 = view(0.0, 1000, [0], [1.0], [1.0], [0.0], [1000.0])
         pol.on_arrival(0, v0)
         # two survivor jobs; complete job 0 -> processors re-draw uniformly
-        pol._assignment[:] = 0
+        pol._assignment[:] = [0] * len(pol._assignment)
         v = view(1.0, 1000, [1, 2], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0], [1000.0, 1000.0])
         pol.on_completion(0, v)
         p1 = pol.processors_of(1).size

@@ -102,6 +102,21 @@ class TestOnlineSemantics:
         assert (sched.n_offered, sched.admission.state_dict()) == before
         assert (sched.n_submitted, sched.now) == (1, 0.0)
 
+    def test_submit_checks_each_job_once(self, field_checks):
+        """The JobSpec constructor makes the one field check of a
+        submit, whether the job is accepted or shed."""
+        calls = field_checks
+        sched = OnlineScheduler(
+            2,
+            FIFO(),
+            admission=AdmissionController(AdmissionConfig(max_active=1), 2),
+        )
+        sched.submit(work=1.0)
+        assert len(calls) == 1
+        sched.submit(work=4.0, mode="fully_parallel", weight=2.0, release=0.5)
+        assert (len(calls), sched.n_shed) == (2, 1)
+        assert calls[-1] == (0.5, 4.0, 2.0, ParallelismMode.FULLY_PARALLEL, 2.0)
+
     def test_clock_never_rewinds(self):
         sched = OnlineScheduler(1, FIFO(), seed=0)
         sched.advance_to(4.0)

@@ -252,6 +252,21 @@ class TestOutOfRangeSubmit:
         assert len(read_journal(tmp_path)) == 1
 
 
+    def test_a_served_submit_is_checked_twice(self, field_checks):
+        """Once by ``submit_fields`` before anything moves, once by the
+        JobSpec constructor inside ``OnlineScheduler.submit``."""
+        calls = field_checks
+        server = SchedulerServer(trace_config())
+        for k, request in enumerate(
+            [
+                {"op": "submit", "work": 1.0, "release": 1.0},
+                {"op": "submit", "work": 2.0, "mode": "fully_parallel"},
+            ]
+        ):
+            assert server._op_submit(request)["accepted"]
+            assert len(calls) == 2 * (k + 1)
+
+
 class TestBatchOp:
     GOOD_A = {"op": "submit", "work": 2.0, "release": 1.0, "id": "a"}
     BAD_WORK = {"op": "submit", "work": -1.0, "id": "bad"}

@@ -16,8 +16,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.job import JobSpec, ParallelismMode
+from repro.core.rng import DrawStream
 from repro.flowsim import simulate
-from repro.flowsim.policies import SETF, DrepSequential, WDrep
+from repro.flowsim.policies import SETF, DrepParallel, DrepSequential, RoundRobin, WDrep
 from repro.serve import (
     AdmissionConfig,
     AdmissionController,
@@ -28,12 +30,12 @@ from repro.serve import (
     snapshot_scheduler_file,
 )
 from repro.serve.online import OnlineScheduler
-from repro.serve.snapshot import SnapshotError
-from repro.workloads.traces import generate_trace
+from repro.serve.snapshot import SnapshotError, _decode_policy, _encode_policy
+from repro.workloads.traces import Trace, generate_trace
 
 
-def stream_prefix(sched: OnlineScheduler, trace, upto: int) -> None:
-    for spec in trace.jobs[:upto]:
+def stream_prefix(sched: OnlineScheduler, trace, upto: int, start: int = 0) -> None:
+    for spec in trace.jobs[start:upto]:
         sched.advance_to(spec.release)
         sched.submit_spec(spec)
 
@@ -215,3 +217,93 @@ class TestRetiredEngineSwitches:
         state["engine"]["config"]["speed"] = 0.0
         with pytest.raises(SnapshotError, match="speed"):
             restore_scheduler(state)
+
+
+def _drep_case(name: str):
+    """(policy class, trace) of one DREP variant on m = 4; WDREP's jobs
+    carry three weights, so its completions take the weighted re-draw."""
+    if name == "drep-par":
+        trace = generate_trace(
+            120, "bing", 0.7, 4, mode=ParallelismMode.FULLY_PARALLEL, seed=22
+        )
+        return DrepParallel, trace
+    trace = generate_trace(120, "finance", 0.7, 4, seed=21)
+    if name == "wdrep":
+        jobs = [
+            JobSpec(
+                job_id=j.job_id, release=j.release, work=j.work, span=j.span,
+                mode=j.mode, weight=(1.0, 2.0, 0.5)[j.job_id % 3],
+            )
+            for j in trace.jobs
+        ]
+        return WDrep, Trace(jobs=jobs, m=4)
+    return DrepSequential, trace
+
+
+class TestDrawStreamState:
+    """DREP keeps its processor table as a list and draws through a
+    prefetching :class:`DrawStream`; a checkpoint stores the stream as
+    its synced generator state."""
+
+    def _continue(self, name: str, state: dict, trace, start: int = 60):
+        cls, _ = _drep_case(name)
+        want_policy = cls()
+        want = simulate(trace, 4, want_policy, seed=21)
+        restored = restore_scheduler(json.loads(json.dumps(state)))
+        assert type(restored.policy._rng) is DrawStream
+        assert type(restored.policy._assignment) is list
+        got = stream_rest_and_drain(restored, trace, start)
+        np.testing.assert_array_equal(got.flow_times, want.flow_times)
+        for key in ("events", "switches"):
+            assert got.extra[key] == want.extra[key]
+        assert got.preemptions == want.preemptions
+        assert got.migrations == want.migrations
+        assert (
+            restored.policy._rng.bit_generator.state
+            == want_policy._rng.bit_generator.state
+        )
+
+    @pytest.mark.parametrize("name", ["drep", "drep-par", "wdrep"])
+    def test_earlier_format_restores_bit_for_bit(self, name):
+        """State written when the table was an int64 array and the
+        generator a plain one."""
+        cls, trace = _drep_case(name)
+        sched = OnlineScheduler(4, cls(), seed=21)
+        stream_prefix(sched, trace, 60)
+        state = json.loads(json.dumps(snapshot_scheduler(sched)))
+        attrs = state["policy"]["attrs"]
+        attrs["_assignment"] = {
+            "__ndarray__": attrs["_assignment"], "dtype": "int64"
+        }
+        attrs["_rng"] = {"__rng__": attrs["_rng"]["__draws__"]}
+        self._continue(name, state, trace)
+
+    @pytest.mark.parametrize("name", ["drep", "drep-par", "wdrep"])
+    def test_checkpoint_with_prefetched_words(self, name):
+        """A checkpoint taken while the stream holds unused words: the
+        restored run and the checkpointed one both go on bit for bit."""
+        cls, trace = _drep_case(name)
+        sched = OnlineScheduler(4, cls(), seed=21)
+        start = 60
+        stream_prefix(sched, trace, start)
+        # WDREP's weighted re-draw syncs the stream; go on to a live block
+        while not sched.policy._rng._words:
+            stream_prefix(sched, trace, start + 1, start)
+            start += 1
+        state = snapshot_scheduler(sched)
+        self._continue(name, state, trace, start)
+        want = simulate(trace, 4, cls(), seed=21)
+        got = stream_rest_and_drain(sched, trace, start)
+        np.testing.assert_array_equal(got.flow_times, want.flow_times)
+
+    def test_any_policy_attribute_round_trips(self):
+        policy = RoundRobin()
+        policy.draws = DrawStream(np.random.default_rng(5))
+        plain = np.random.default_rng(5)
+        for n in (3, 10, 2**31 + 1):
+            assert policy.draws.index(n) == int(plain.integers(n))
+        restored = _decode_policy(json.loads(json.dumps(_encode_policy(policy))))
+        assert type(restored.draws) is DrawStream
+        assert restored.draws.bit_generator.state == plain.bit_generator.state
+        assert restored.draws.random_list(300) == plain.random(300).tolist()
+        assert restored.draws.index(7) == int(plain.integers(7))

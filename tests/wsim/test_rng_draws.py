@@ -7,8 +7,9 @@ Two simulators depend on them:
   draw entirely for single-victim steals (``steal_within``,
   ``DrepWS.on_completion``);
 * flowsim's ``DrepParallel`` re-draws the ``k`` processors a completion
-  frees with **one** ``integers(n, size=k)`` call, and skips it when a
-  single job is left (``DrepParallel._draw_jobs``).
+  frees with ``k`` scalar draws where it once made **one**
+  ``integers(n, size=k)`` call, and skips them when a single job is
+  left (``DrepParallel._draw_jobs``).
 
 These shortcuts are bit-exact only because of how numpy's ``Generator``
 consumes PCG64 state:
@@ -20,10 +21,11 @@ consumes PCG64 state:
 * hence ``k`` repeats of a fixed per-step bound pattern equal one
   ``integers(np.tile(pattern, k))`` call.
 
-The runtime draws through :class:`repro.core.rng.DrawStream`, which
-replays numpy's scalar draws in Python from a block of raw words and
-hands the state back on demand.  It relies on four more facts, pinned
-at the bottom of this module:
+The runtime and flowsim DREP draw through
+:class:`repro.core.rng.DrawStream`, which replays numpy's scalar draws
+and sized ``random(k)`` in Python from a block of raw words and hands
+the state back on demand.  It relies on five more facts, pinned at the
+bottom of this module:
 
 * a bounded draw ``integers(n)`` for ``2 <= n < 2**32`` is Lemire's
   rejection on ``next_uint32`` halves: a fresh 64-bit word yields its
@@ -32,6 +34,8 @@ at the bottom of this module:
   sized calls;
 * ``random()`` takes one whole word, ``(word >> 11) * 2**-53``, and
   leaves the buffered half alone;
+* ``random(k)`` takes ``k`` whole words the same way, and also leaves
+  the buffered half alone;
 * ``bit_generator.random_raw`` leaves the buffered half alone;
 * ``PCG64.advance(2**128 - k)`` rewinds ``k`` words (and zeroes the
   buffered half, which the stream writes back).
@@ -160,6 +164,18 @@ def test_random_takes_a_whole_word_and_leaves_the_half():
     assert rng.random() == (w2 >> 11) * 2.0**-53
     state = rng.bit_generator.state
     assert (state["has_uint32"], state["uinteger"]) == (1, w0 >> 32)
+
+
+def test_sized_random_takes_whole_words_and_leaves_the_half():
+    words = _words(SEED, 8)
+    rng = np.random.default_rng(SEED)
+    rng.integers(10)  # buffers w0's high half
+    want = [(w >> 11) * 2.0**-53 for w in words[1:8]]
+    assert rng.random(7).tolist() == want
+    state = rng.bit_generator.state
+    assert (state["has_uint32"], state["uinteger"]) == (1, words[0] >> 32)
+    # the buffered half is the next bounded draw's first source
+    assert int(rng.integers(10)) == _lemire(iter([words[0] >> 32]).__next__, 10)
 
 
 def test_random_raw_leaves_the_half():
